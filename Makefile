@@ -10,7 +10,7 @@ GO ?= go
 # point of running under the race detector.
 FAST_PKGS = $$($(GO) list ./... | grep -v internal/experiments)
 
-.PHONY: all build vet test race bench bench-json bench-baseline clean fmt fmt-check tierd-smoke tierd-mt-smoke tierd-numa-smoke tierd-net-smoke tierd-obs-smoke tierd-crash-smoke ci
+.PHONY: all build vet test race perfbench-check bench bench-json bench-baseline clean fmt fmt-check tierd-smoke tierd-mt-smoke tierd-numa-smoke tierd-net-smoke tierd-obs-smoke tierd-crash-smoke ci
 
 all: build test
 
@@ -25,6 +25,12 @@ test:
 
 race:
 	$(GO) test -race $(FAST_PKGS)
+
+# perfbench/ is a nested module (it replaces hybridmem with ../), so the
+# root ./... patterns never compile it. Vet and test it on its own so an
+# engine API change cannot break the benchmark silently.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # One-iteration benchmark smoke: catches benchmarks that no longer compile
 # or crash without paying for stable measurements. internal/tiered and
@@ -271,4 +277,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt-check build vet test race bench bench-json tierd-smoke tierd-mt-smoke tierd-numa-smoke tierd-net-smoke tierd-crash-smoke tierd-obs-smoke
+ci: fmt-check build vet test race perfbench-check bench bench-json tierd-smoke tierd-mt-smoke tierd-numa-smoke tierd-net-smoke tierd-crash-smoke tierd-obs-smoke

@@ -11,10 +11,12 @@
 //	go run ./cmd/tierd -serve 127.0.0.1:6380 -workload bodytrack       # RESP server
 //	go run ./cmd/tierd -connect 127.0.0.1:6380 -connections 4 -pipeline 16 -duration 5s
 //
-// With -verify, tierd first replays the trace through a single-goroutine
-// synchronous engine and the reference simulator and fails unless every
+// With -verify, tierd first runs the trace through the reference simulator
+// and replays the same policy's decisions into a private, never-started
+// engine (tiered.VerifyAgainstSim), and fails unless every
 // hit/fault/promotion/demotion count matches — the subsystem's equivalence
-// guarantee, also enforced in CI.
+// guarantee, also enforced in CI. The replay publishes nothing to the
+// -admin event trace.
 //
 // With -tenants, tierd serves N isolated tenants concurrently — the live
 // form of the paper's consolidated `mix` study. Each list entry is
@@ -109,7 +111,6 @@ func main() {
 		batch        = flag.Int("batch", 1, "serve accesses through the engine batch API in groups of this size (1 = one ServeTenant call per access) — the A/B lever for measuring batch amortization")
 		shards       = flag.Int("shards", 0, "page-table shards, rounded up to a power of two (0 = 4x GOMAXPROCS, 1 = single lock)")
 		numaSpec     = flag.String("numa", "", `NUMA emulation: "nodes=N[,remote-penalty=X]" splits DRAM and NVM into N per-node pools (even split, shard groups homed per node) and reports per-node ops, occupancy and local-vs-remote migrations`)
-		sync         = flag.Bool("sync", false, "run the reference policy inline under one lock (deterministic, no daemon)")
 		verify       = flag.Bool("verify", false, "check single-goroutine equivalence against internal/sim before the run")
 		jsonOut      = flag.Bool("json", false, "emit a hybridmem.results/v1 artifact instead of text")
 		outPath      = flag.String("out", "", "write output to a file instead of stdout")
@@ -151,9 +152,6 @@ func main() {
 	if *batch < 1 {
 		log.Fatalf("-batch must be at least 1, got %d", *batch)
 	}
-	if *batch > 1 && *sync {
-		log.Fatal("-batch is incompatible with -sync (the batch API rejects synchronous engines)")
-	}
 	if !tiered.ValidKind(tiered.Kind(*policyName)) {
 		log.Fatalf("unknown -policy %q (have %v)", *policyName, tiered.Kinds())
 	}
@@ -165,16 +163,16 @@ func main() {
 	if admin.profiles && admin.addr == "" {
 		log.Fatal("-pprof-contention requires -admin (the profiles are served there)")
 	}
-	if numa.nodes > 1 && (*sync || *verify) {
-		log.Fatal("-numa is incompatible with -sync and -verify (sim equivalence is defined on the single-node machine)")
+	if numa.nodes > 1 && *verify {
+		log.Fatal("-numa is incompatible with -verify (sim equivalence is defined on the single-node machine)")
 	}
 
 	if *serveAddr != "" || *connectAddr != "" {
 		if *serveAddr != "" && *connectAddr != "" {
 			log.Fatal("-serve and -connect are mutually exclusive (run them as two processes)")
 		}
-		if *sync || *verify {
-			log.Fatal("-serve and -connect are incompatible with -sync and -verify")
+		if *verify {
+			log.Fatal("-serve and -connect are incompatible with -verify")
 		}
 		nf := netFlags{
 			serveAddr:     *serveAddr,
@@ -221,13 +219,13 @@ func main() {
 	}
 
 	if *tenantsSpec != "" {
-		if *sync || *verify {
-			log.Fatal("-tenants is incompatible with -sync and -verify (the reference policies are single-tenant)")
+		if *verify {
+			log.Fatal("-tenants is incompatible with -verify (the reference policies are single-tenant)")
 		}
 		runMultiTenant(*outPath, *tenantsSpec, *policyName, *scale, *seed, *goroutines, *duration, *ops, *batch, *shards, numa, admin, *jsonOut, *memStats)
 		return
 	}
-	runSingleTenant(*outPath, *workloadName, *policyName, *scale, *seed, *goroutines, *duration, *ops, *batch, *shards, numa, admin, *sync, *verify, *jsonOut, *memStats)
+	runSingleTenant(*outPath, *workloadName, *policyName, *scale, *seed, *goroutines, *duration, *ops, *batch, *shards, numa, admin, *verify, *jsonOut, *memStats)
 }
 
 // numaFlags is the parsed -numa emulation spec.
@@ -441,19 +439,18 @@ func genTenantTrace(name string, scale float64, seed int64) (warm, roi []trace.R
 
 func runSingleTenant(outPath, workloadName, policyName string, scale float64, seed int64,
 	goroutines int, duration time.Duration, ops int64, batch, shards int, numa numaFlags,
-	admin adminFlags, sync, verify, jsonOut, memStats bool) {
+	admin adminFlags, verify, jsonOut, memStats bool) {
 	warm, roi, pages := genTenantTrace(workloadName, scale, seed)
 	dram, nvm := memspec.DefaultSizing().Partition(pages)
 
 	ring := admin.ring()
 	cfg := tiered.Config{
-		Policy:      tiered.Kind(policyName),
-		DRAMPages:   dram,
-		NVMPages:    nvm,
-		Shards:      shards,
-		Topology:    numa.topology(dram, nvm),
-		Synchronous: sync,
-		Events:      ring,
+		Policy:    tiered.Kind(policyName),
+		DRAMPages: dram,
+		NVMPages:  nvm,
+		Shards:    shards,
+		Topology:  numa.topology(dram, nvm),
+		Events:    ring,
 	}
 
 	if verify {
@@ -510,7 +507,7 @@ func runSingleTenant(outPath, workloadName, policyName string, scale float64, se
 
 	writeOut(outPath, func(w io.Writer) error {
 		if jsonOut {
-			return writeArtifact(w, engine, rep, st, nodes, mem, workloadName, scale, seed, goroutines, sync)
+			return writeArtifact(w, engine, rep, st, nodes, mem, workloadName, scale, seed, goroutines)
 		}
 		return writeText(w, engine, rep, st, nodes, mem, workloadName, dram, nvm, goroutines)
 	})
@@ -745,13 +742,9 @@ func pct(part, whole int64) float64 {
 
 func writeArtifact(w io.Writer, e *tiered.Engine, rep *tiered.LoadReport, st tiered.Stats,
 	nodes []tiered.NodeStats, mem memReport, name string, scale float64, seed int64,
-	goroutines int, sync bool) error {
+	goroutines int) error {
 	a := runner.NewArtifact("tierd", "serve", scale, seed)
 	cfg := e.Config()
-	syncVal := 0.0
-	if sync {
-		syncVal = 1
-	}
 	a.Add(runner.Result{
 		ID:        fmt.Sprintf("%s/%s/g%d", name, e.PolicyName(), goroutines),
 		Workload:  name,
@@ -763,7 +756,6 @@ func writeArtifact(w io.Writer, e *tiered.Engine, rep *tiered.LoadReport, st tie
 			"goroutines": float64(goroutines),
 			"shards":     float64(cfg.Shards),
 			"nodes":      float64(e.NumNodes()),
-			"sync":       syncVal,
 		},
 		Values: mem.values(loadValues(rep, st, cfg)),
 	})

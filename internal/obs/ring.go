@@ -44,8 +44,10 @@ const (
 	// ReasonDemotionSpill: a borrower's page was demoted to reclaim
 	// spill-pool capacity for a tenant under its own quota.
 	ReasonDemotionSpill
-	// ReasonDemotionClean: the reference policy retired a clean DRAM
-	// page without a write-back (synchronous mode only).
+	// ReasonDemotionClean: a clean DRAM page retired without a
+	// write-back. Only the reference policies make this move, and the
+	// engine's sim-equivalence replay publishes no events, so no live
+	// trace carries it; the value is kept so later reasons keep theirs.
 	ReasonDemotionClean
 	// ReasonEviction: an NVM frame was reclaimed; the page left memory.
 	ReasonEviction

@@ -245,10 +245,10 @@ func (s *Server) process(c *conn) (fatal bool) {
 
 // flushRun serves the pending GET/SET run through the engine batch API
 // and emits the per-command replies in order. If the batch call cannot
-// complete (lifecycle, out-of-range address, synchronous engine), the
-// unserved tail falls back to one-at-a-time serves so every command still
-// gets exactly the reply it would have gotten unbatched. Reports whether
-// the connection must close.
+// complete (lifecycle or out-of-range address), the unserved tail falls
+// back to one-at-a-time serves so every command still gets exactly the
+// reply it would have gotten unbatched. Reports whether the connection
+// must close.
 func (s *Server) flushRun(c *conn) (closeAfter bool) {
 	n := len(c.runAddrs)
 	if n == 0 {

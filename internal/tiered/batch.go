@@ -8,17 +8,9 @@ import (
 	"hybridmem/internal/trace"
 )
 
-// Batch-serve errors.
-var (
-	// ErrBatchLengths is returned when the addrs, ops and out slices of a
-	// batch do not have the same length.
-	ErrBatchLengths = errors.New("tiered: batch slices must have equal lengths")
-	// ErrBatchSync is returned when the batch API is called on a
-	// synchronous engine: the reference policy serializes every access
-	// behind one lock, so there is nothing for a batch to amortize and the
-	// equivalence harness must see the one-at-a-time path.
-	ErrBatchSync = errors.New("tiered: batch serve is not available in synchronous mode")
-)
+// ErrBatchLengths is returned when the addrs, ops and out slices of a
+// batch do not have the same length.
+var ErrBatchLengths = errors.New("tiered: batch slices must have equal lengths")
 
 // batchScratch accumulates one ServeTenantBatch call's counter deltas so
 // the striped atomics are written once per touched stripe, not once per
@@ -73,8 +65,8 @@ func (s *batchScratch) grow(nodes, stripes int) {
 // equal length. The returned count is how many leading accesses were
 // served (and are reflected in out and every counter). A batch with any
 // out-of-range address is rejected whole — (0, ErrPageRange) — before
-// any access is tallied; lifecycle, unknown-tenant and synchronous-mode
-// errors also reject the whole batch. A fault-path error stops the batch
+// any access is tallied; lifecycle and unknown-tenant errors also reject
+// the whole batch. A fault-path error stops the batch
 // at the failing access after flushing the deltas of the accesses already
 // served, so the counters stay exact.
 //
@@ -100,9 +92,6 @@ func (e *Engine) ServeTenantBatch(tenant TenantID, addrs []uint64, ops []trace.O
 	}
 	if ts == nil {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownTenant, tenant)
-	}
-	if e.backing != nil {
-		return 0, ErrBatchSync
 	}
 	if len(addrs) == 0 {
 		return 0, nil

@@ -164,20 +164,6 @@ func TestServeTenantBatchRejections(t *testing.T) {
 	if _, err := e.ServeTenantBatch(DefaultTenant, addrs, ops, out); !errors.Is(err, ErrStopped) {
 		t.Fatalf("after Stop: err = %v, want ErrStopped", err)
 	}
-
-	// Synchronous mode rejects the batch API explicitly: the reference
-	// policy path must stay one access at a time.
-	es, err := New(Config{DRAMPages: 16, NVMPages: 16, Synchronous: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := es.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer es.Stop()
-	if _, err := es.ServeTenantBatch(DefaultTenant, addrs, ops, out); !errors.Is(err, ErrBatchSync) {
-		t.Fatalf("synchronous engine: err = %v, want ErrBatchSync", err)
-	}
 }
 
 // TestServePageRangeErrorNoAlloc is the regression gate for the hoisted

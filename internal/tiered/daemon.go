@@ -9,20 +9,15 @@ import (
 	"hybridmem/internal/mm"
 )
 
-// Start brings the engine online. In asynchronous mode it launches the
-// migration daemon: one scanner that sweeps the shards for hot NVM pages
-// every ScanInterval, driving one scan/promotion pipeline per NUMA node —
-// each node has its own candidate buffers and promotion queue, drained by
-// that node's own Workers goroutines, so migrations for one node's pages
-// are applied by workers pinned to that node's pipeline. In synchronous
-// mode there is no daemon (migrations happen inline) and Start only flips
-// the lifecycle state.
+// Start brings the engine online and launches the migration daemon: one
+// scanner that sweeps the shards for hot NVM pages every ScanInterval,
+// driving one scan/promotion pipeline per NUMA node — each node has its
+// own candidate buffers and promotion queue, drained by that node's own
+// Workers goroutines, so migrations for one node's pages are applied by
+// workers pinned to that node's pipeline.
 func (e *Engine) Start() error {
 	if !e.state.CompareAndSwap(stateNew, stateStarted) {
 		return fmt.Errorf("tiered: engine already started")
-	}
-	if e.backing != nil {
-		return nil
 	}
 	e.stopCh = make(chan struct{})
 	for _, ns := range e.nodes {
@@ -48,24 +43,21 @@ func (e *Engine) Start() error {
 // fully quiesced. Stopping an engine that never started is an error.
 func (e *Engine) Stop() error {
 	if e.state.CompareAndSwap(stateStarted, stateStopped) {
-		if e.backing == nil {
-			close(e.stopCh)
-			e.scanWG.Wait()
-			e.warmWG.Wait()
-			// Both producers (scanner and warm-up feeder) have exited; now
-			// the queues can close, and the workers drain what's left.
-			for _, ns := range e.nodes {
-				close(ns.batchCh)
-			}
-			e.workerWG.Wait()
-			// Barrier against a concurrent ScanOnce: any scan that won
-			// scanMu before this point finishes its inline work here; any
-			// that acquires it later sees the stopped state and does
-			// nothing. Either way no migration mutates the table after
-			// Stop returns.
-			e.scanMu.Lock()
-			e.scanMu.Unlock() //nolint:staticcheck // empty section is the barrier
+		close(e.stopCh)
+		e.scanWG.Wait()
+		e.warmWG.Wait()
+		// Both producers (scanner and warm-up feeder) have exited; now the
+		// queues can close, and the workers drain what's left.
+		for _, ns := range e.nodes {
+			close(ns.batchCh)
 		}
+		e.workerWG.Wait()
+		// Barrier against a concurrent ScanOnce: any scan that won scanMu
+		// before this point finishes its inline work here; any that
+		// acquires it later sees the stopped state and does nothing.
+		// Either way no migration mutates the table after Stop returns.
+		e.scanMu.Lock()
+		e.scanMu.Unlock() //nolint:staticcheck // empty section is the barrier
 		close(e.drained)
 		return nil
 	}
@@ -142,14 +134,10 @@ func (e *Engine) putBatch(b *promoBatch) {
 
 // ScanOnce runs one hotness scan immediately and applies the resulting
 // promotions inline before returning, giving tests and embedders a
-// deterministic migration point. Only meaningful in asynchronous mode (the
-// synchronous engine migrates inline on every access already).
+// deterministic migration point.
 func (e *Engine) ScanOnce() error {
 	if e.state.Load() != stateStarted {
 		return ErrNotStarted
-	}
-	if e.backing != nil {
-		return nil
 	}
 	e.scanEpoch(true)
 	return nil
@@ -202,7 +190,7 @@ func orderCandidates(c []candidate) {
 // slot of a weight-1 neighbor while both have candidates left. A nil
 // weights slice means one each — the equal-share round-robin, under which
 // no hot tenant can monopolize the queue while another starves. The queue
-// headers are consumed; the backing arrays are untouched.
+// headers are consumed; the underlying arrays are untouched.
 func interleaveInto(dst []candidate, queues [][]candidate, weights []int) []candidate {
 	total := 0
 	for _, q := range queues {

@@ -2,7 +2,6 @@ package tiered
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"hybridmem/internal/trace"
@@ -179,24 +178,5 @@ func TestDropQuotaAccounting(t *testing.T) {
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDropSynchronousModeRejected(t *testing.T) {
-	e, err := New(Config{DRAMPages: 4, NVMPages: 16, Synchronous: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer e.Stop()
-	if _, err := e.Serve(0, trace.OpRead); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Drop(DefaultTenant, 0); err == nil {
-		t.Fatal("Drop succeeded in synchronous mode")
-	} else if fmt.Sprint(err) == "" {
-		t.Fatal("empty error")
 	}
 }

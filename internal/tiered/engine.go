@@ -10,12 +10,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hybridmem/internal/clockdwf"
 	"hybridmem/internal/core"
 	"hybridmem/internal/memspec"
 	"hybridmem/internal/mm"
 	"hybridmem/internal/obs"
-	"hybridmem/internal/policy"
 	"hybridmem/internal/trace"
 )
 
@@ -58,7 +56,7 @@ type Config struct {
 	// pool fully borrowed). The zero value is a single uniform
 	// node, which behaves bit-identically to the pre-topology engine.
 	// When Topology.Nodes is set, its pools must sum to DRAMPages and
-	// NVMPages exactly. Synchronous mode requires a single node.
+	// NVMPages exactly. VerifyAgainstSim requires a single node.
 	Topology Topology
 	// Tenants partitions the engine into isolated page namespaces with
 	// per-tenant DRAM quotas. DRAM frames covered by no quota form the
@@ -66,8 +64,8 @@ type Config struct {
 	// residency never exceeds its quota plus the spill pool. Nil means a
 	// single DefaultTenant owning all of DRAM — the engine then behaves
 	// exactly like the pre-tenant, single-namespace engine. Quotas must
-	// total at most DRAMPages, IDs must be unique, and in Synchronous mode
-	// only the single default tenant is allowed.
+	// total at most DRAMPages and IDs must be unique. VerifyAgainstSim
+	// accepts only the single default tenant.
 	Tenants []TenantConfig
 	// Shards is the page-table shard count, rounded up to a power of two.
 	// 0 picks 4x GOMAXPROCS; 1 is the single-lock baseline.
@@ -78,17 +76,9 @@ type Config struct {
 	// Adaptive tunes the adaptive controller (zero value =
 	// core.DefaultAdaptiveConfig(); only used by Kind Adaptive).
 	Adaptive core.AdaptiveConfig
-	// DWF tunes the CLOCK-DWF baseline (zero value =
-	// clockdwf.DefaultConfig(); only used in Synchronous mode).
-	DWF clockdwf.Config
 	// Spec supplies the technology parameters the thresholds are costed
 	// against (zero value = memspec.Default()).
 	Spec memspec.Spec
-	// Synchronous runs the single-threaded reference policy inline under
-	// one lock instead of the sharded fast path + daemon: every access
-	// produces exactly the counts internal/sim would. This is the
-	// deterministic mode the equivalence check uses.
-	Synchronous bool
 	// ScanInterval is the daemon's hotness-scan period (default 2ms).
 	ScanInterval time.Duration
 	// BatchSize caps the pages per promotion batch (default 128).
@@ -135,9 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if (c.Adaptive == core.AdaptiveConfig{}) {
 		c.Adaptive = core.DefaultAdaptiveConfig()
-	}
-	if (c.DWF == clockdwf.Config{}) {
-		c.DWF = clockdwf.DefaultConfig()
 	}
 	if c.Spec.Geometry.PageSizeBytes == 0 {
 		c.Spec = memspec.Default()
@@ -373,16 +360,11 @@ type Engine struct {
 	c     counters
 	state atomic.Int32
 
-	// Synchronous mode: the reference policy behind one lock.
-	mu      sync.Mutex
-	backing policy.Policy
-
-	// Daemon plumbing (asynchronous mode). One scanner drives a
-	// scan/promotion pipeline per node — each node has its own candidate
-	// scratch, promotion queue and node-pinned workers (on nodeState) —
-	// and batches are pooled: the scanner takes buffers from batchPool
-	// and the workers return them after draining, so steady-state epochs
-	// allocate nothing.
+	// Daemon plumbing. One scanner drives a scan/promotion pipeline per
+	// node — each node has its own candidate scratch, promotion queue and
+	// node-pinned workers (on nodeState) — and batches are pooled: the
+	// scanner takes buffers from batchPool and the workers return them
+	// after draining, so steady-state epochs allocate nothing.
 	stopCh    chan struct{}
 	batchPool sync.Pool
 	scanWG    sync.WaitGroup
@@ -448,19 +430,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Synchronous && (len(cfg.Tenants) != 1 || cfg.Tenants[0].ID != DefaultTenant ||
-		cfg.Tenants[0].DRAMQuota != cfg.DRAMPages) {
-		// The reference policies know nothing about namespaces or quotas:
-		// a partial quota would be silently ignored (and then tripped over
-		// by CheckInvariants' spill accounting), so reject it up front.
-		return nil, fmt.Errorf("tiered: synchronous mode serves only the single default tenant owning all of DRAM")
-	}
 	numNodes := cfg.Topology.NumNodes()
-	if cfg.Synchronous && numNodes != 1 {
-		// Same reasoning as quotas: the reference policies model one
-		// uniform machine, and sim equivalence is defined on it.
-		return nil, fmt.Errorf("tiered: synchronous mode runs on a single-node topology, got %d nodes", numNodes)
-	}
 	tbl, err := NewTableNUMA(cfg.Shards, numNodes)
 	if err != nil {
 		return nil, err
@@ -517,11 +487,9 @@ func New(cfg Config) (*Engine, error) {
 			nodeUsed: make([]atomic.Int64, numNodes),
 			cells:    make([]tenantCell, stripes),
 		}
-		if !cfg.Synchronous {
-			ts.pol, err = newOnlinePolicy(cfg.Policy, cfg.Core, cfg.Adaptive)
-			if err != nil {
-				return nil, err
-			}
+		ts.pol, err = newOnlinePolicy(cfg.Policy, cfg.Core, cfg.Adaptive)
+		if err != nil {
+			return nil, err
 		}
 		e.tenants[tc.ID] = ts
 		e.tenantList = append(e.tenantList, ts)
@@ -541,12 +509,6 @@ func New(cfg Config) (*Engine, error) {
 		ns.scanBufs = make([][]candidate, len(e.tenantList))
 	}
 	e.def = e.tenants[DefaultTenant]
-	if cfg.Synchronous {
-		e.backing, err = newBackingPolicy(cfg.Policy, cfg.DRAMPages, cfg.NVMPages, cfg.Core, cfg.Adaptive, cfg.DWF)
-		if err != nil {
-			return nil, err
-		}
-	}
 	return e, nil
 }
 
@@ -555,9 +517,6 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // PolicyName returns the name of the policy the engine runs.
 func (e *Engine) PolicyName() string {
-	if e.backing != nil {
-		return e.backing.Name()
-	}
 	return e.tenantList[0].pol.Name()
 }
 
@@ -597,8 +556,7 @@ func (e *Engine) TenantByName(name string) (TenantID, bool) {
 // eviction, which picks its own victim, Drop targets one page. Dropping
 // races cleanly with concurrent serves and migrations — if the page moves
 // between the observation and the removal, Drop retries against its new
-// location. Counted as an eviction in Stats. Not available in synchronous
-// mode, where the reference policy owns all residency decisions.
+// location. Counted as an eviction in Stats.
 func (e *Engine) Drop(tenant TenantID, addr uint64) (bool, error) {
 	switch e.state.Load() {
 	case stateStarted:
@@ -610,9 +568,6 @@ func (e *Engine) Drop(tenant TenantID, addr uint64) (bool, error) {
 	ts := e.tenants[tenant]
 	if ts == nil {
 		return false, fmt.Errorf("%w: %d", ErrUnknownTenant, tenant)
-	}
-	if e.backing != nil {
-		return false, errors.New("tiered: Drop is not available in synchronous mode")
 	}
 	page := e.pageOf(addr)
 	if page > maxTablePage {
@@ -775,9 +730,6 @@ func (e *Engine) ServeTenant(tenant TenantID, addr uint64, op trace.Op) (ServeRe
 		// exactly the flat engine's.
 		home = e.tbl.HomeNodeHash(h)
 		e.nodes[home].accesses[cell].Add(1)
-	}
-	if e.backing != nil {
-		return e.serveSync(ts, cell, page, op)
 	}
 	if loc, ok := e.tbl.TouchHash(key, h, op); ok {
 		e.tallyHit(ts, cell, loc, op)
@@ -1186,122 +1138,14 @@ func (e *Engine) applyPromotion(key, score uint64) {
 	}
 }
 
-// serveSync routes one access through the single-threaded reference policy
-// and mirrors its moves into the sharded table, tallying exactly what
-// sim.Run would tally for the same access.
-func (e *Engine) serveSync(ts *tenantState, cell, page uint64, op trace.Op) (ServeResult, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	r, err := e.backing.Access(page, op)
-	if err != nil {
-		return ServeResult{}, fmt.Errorf("tiered: %w", err)
-	}
-	if r.Fault {
-		switch r.ServedFrom {
-		case mm.LocDRAM, mm.LocNVM:
-			// Synchronous mode runs on a single-node topology: every
-			// placement is node-local by construction.
-			e.tallyFault(ts, r.ServedFrom, 0, 0)
-		default:
-			return ServeResult{}, fmt.Errorf("tiered: fault served from %v", r.ServedFrom)
-		}
-	} else {
-		e.tallyHit(ts, cell, r.ServedFrom, op)
-	}
-	for _, m := range r.Moves {
-		if err := e.mirrorMove(ts, m); err != nil {
-			return ServeResult{}, err
-		}
-	}
-	return ServeResult{ServedFrom: r.ServedFrom, Fault: r.Fault}, nil
-}
-
-// mirrorMove applies one reference-policy move to the sharded table and
-// the occupancy counters, with the same classification sim.Run uses.
-// Synchronous mode runs on a single-node topology, so every frame lives
-// in node 0's pools and every migration is node-local.
-func (e *Engine) mirrorMove(ts *tenantState, m policy.Move) error {
-	fail := func() error {
-		return fmt.Errorf("tiered: table out of sync applying %+v", m)
-	}
-	n0 := e.nodes[0]
-	switch {
-	case m.From == mm.LocNVM && m.To == mm.LocDRAM:
-		if !e.tbl.MoveIf(ts.id, m.Page, mm.LocNVM, mm.LocDRAM) {
-			return fail()
-		}
-		n0.nvmUsed.Add(-1)
-		n0.dramUsed.Add(1)
-		ts.dramUsed.Add(1)
-		ts.nodeUsed[0].Add(1)
-		e.c.promotions.Add(1)
-		ts.c.promotions.Add(1)
-		n0.promosLocal.Add(1)
-		e.publishEvent(ts.id, m.Page, 0, obs.TierNVM, obs.TierDRAM, obs.ReasonPromotion, 0)
-	case m.From == mm.LocDRAM && m.To == mm.LocNVM:
-		if !e.tbl.MoveIf(ts.id, m.Page, mm.LocDRAM, mm.LocNVM) {
-			return fail()
-		}
-		n0.dramUsed.Add(-1)
-		ts.dramUsed.Add(-1)
-		ts.nodeUsed[0].Add(-1)
-		n0.nvmUsed.Add(1)
-		n0.demosLocal.Add(1)
-		switch m.Reason {
-		case policy.ReasonDemoteClean:
-			e.c.demotionsClean.Add(1)
-			e.publishEvent(ts.id, m.Page, 0, obs.TierDRAM, obs.TierNVM, obs.ReasonDemotionClean, 0)
-		case policy.ReasonDemoteFault:
-			e.c.demotions.Add(1)
-			ts.c.demotions.Add(1)
-			e.c.demotionsFault.Add(1)
-			e.publishEvent(ts.id, m.Page, 0, obs.TierDRAM, obs.TierNVM, obs.ReasonDemotionFault, 0)
-		default:
-			e.c.demotions.Add(1)
-			ts.c.demotions.Add(1)
-			e.c.demotionsPromo.Add(1)
-			e.publishEvent(ts.id, m.Page, 0, obs.TierDRAM, obs.TierNVM, obs.ReasonDemotionPromotion, 0)
-		}
-	case m.From == mm.LocDisk && m.To.IsMemory():
-		if !e.tbl.Insert(ts.id, m.Page, m.To) {
-			return fail()
-		}
-		if m.To == mm.LocDRAM {
-			n0.dramUsed.Add(1)
-			ts.dramUsed.Add(1)
-			ts.nodeUsed[0].Add(1)
-		} else {
-			n0.nvmUsed.Add(1)
-		}
-	case m.To == mm.LocDisk && m.From.IsMemory():
-		if !e.tbl.RemoveIf(ts.id, m.Page, m.From) {
-			return fail()
-		}
-		if m.From == mm.LocDRAM {
-			n0.dramUsed.Add(-1)
-			ts.dramUsed.Add(-1)
-			ts.nodeUsed[0].Add(-1)
-		} else {
-			n0.nvmUsed.Add(-1)
-		}
-		e.c.evictions.Add(1)
-		ts.c.evictions.Add(1)
-		e.publishEvent(ts.id, m.Page, 0, tierOf(m.From), obs.TierNone, obs.ReasonEviction, 0)
-	default:
-		return fmt.Errorf("tiered: unexpected move %+v", m)
-	}
-	return nil
-}
-
 // CheckInvariants validates the table against the per-node occupancy
 // pools, capacities, per-tenant quota caps and the spill-token ledger.
-// Call it quiesced (no concurrent Serve); in synchronous mode it
-// additionally cross-checks the reference policy's physical memory.
+// Call it quiesced (no concurrent Serve).
 func (e *Engine) CheckInvariants() error {
 	// One table pass suffices for everything the table must witness: the
 	// zone totals, each node's per-zone residency, and every tenant's
 	// per-node DRAM residency.
-	var dram, nvm int
+	var dram int
 	nodeDram := make([]int64, len(e.nodes))
 	nodeNvm := make([]int64, len(e.nodes))
 	perTenant := make(map[TenantID][]int64, len(e.tenantList))
@@ -1317,7 +1161,6 @@ func (e *Engine) CheckInvariants() error {
 				}
 				counts[node]++
 			} else {
-				nvm++
 				nodeNvm[node]++
 			}
 		})
@@ -1391,16 +1234,6 @@ func (e *Engine) CheckInvariants() error {
 	if got := e.spillUsed.Load(); got != borrowed || got > e.spill {
 		return fmt.Errorf("tiered: spill pool accounting says %d borrowed, tenants hold %d over their shares (pool %d)",
 			got, borrowed, e.spill)
-	}
-	if e.backing != nil {
-		sys := e.backing.System()
-		if dram != sys.Residents(mm.LocDRAM) || nvm != sys.Residents(mm.LocNVM) {
-			return fmt.Errorf("tiered: table %d/%d pages, reference system %d/%d",
-				dram, nvm, sys.Residents(mm.LocDRAM), sys.Residents(mm.LocNVM))
-		}
-		if err := sys.CheckInvariants(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

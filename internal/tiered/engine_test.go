@@ -456,8 +456,5 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		if _, err := New(Config{Policy: kind, DRAMPages: 8, NVMPages: 8}); err != nil {
 			t.Errorf("kind %s rejected: %v", kind, err)
 		}
-		if _, err := New(Config{Policy: kind, DRAMPages: 8, NVMPages: 8, Synchronous: true}); err != nil {
-			t.Errorf("kind %s (sync) rejected: %v", kind, err)
-		}
 	}
 }

@@ -131,14 +131,18 @@ func TestTopologyValidation(t *testing.T) {
 			Nodes:         []NodeConfig{{DRAMPages: 8, NVMPages: 8}},
 			RemotePenalty: 0.5,
 		}}, "remote penalty"},
-		{Config{DRAMPages: 8, NVMPages: 8, Synchronous: true, Topology: EvenTopology(2, 8, 8)},
-			"single-node topology"},
 	}
 	for i, tc := range cases {
 		_, err := New(tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("config %d: error %v, want substring %q", i, err, tc.want)
 		}
+	}
+	// Sim equivalence is defined on the single-node machine only.
+	_, err := VerifyAgainstSim(Config{DRAMPages: 8, NVMPages: 8, Topology: EvenTopology(2, 8, 8)},
+		[]trace.Record{{Addr: 0, Op: trace.OpRead}})
+	if err == nil || !strings.Contains(err.Error(), "single-node topology") {
+		t.Errorf("two-node verification: error %v, want substring %q", err, "single-node topology")
 	}
 	// A well-formed two-node topology is accepted, and the engine reports
 	// its geometry.

@@ -142,6 +142,25 @@ func TestServeZeroAllocWithRing(t *testing.T) {
 	}
 }
 
+// TestVerifyPublishesNoEvents pins that the equivalence replay stays out
+// of a live migration trace: a ring passed in Config.Events must see none
+// of the replay's moves (which include clean demotions the live engine
+// never makes), even though the replay migrates.
+func TestVerifyPublishesNoEvents(t *testing.T) {
+	recs, dram, nvm := genTrace(t, "bodytrack", 0.02, 3)
+	ring := obs.NewEventRing(1024)
+	st, err := VerifyAgainstSim(Config{DRAMPages: dram, NVMPages: nvm, Events: ring}, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Demotions+st.Evictions == 0 {
+		t.Fatalf("replay made no migrations (%+v): the check is vacuous", st)
+	}
+	if got := ring.Published(); got != 0 {
+		t.Fatalf("verification published %d events, want 0", got)
+	}
+}
+
 // TestMigrationEventsPublished drives promotions and demotions with a ring
 // attached and asserts both event kinds land in the trace with tenant and
 // node attribution intact.

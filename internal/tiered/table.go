@@ -8,10 +8,11 @@
 // probe and two atomic counter updates, with no shared mutex word written —
 // and all page movement happens either on the (rare, disk-bound) fault path
 // or in a background daemon that drains a batched promotion queue fed by
-// per-shard hotness scans. The single-threaded reference implementation in
-// internal/sim remains the semantic oracle: an Engine built with
-// Config.Synchronous routes every access through the same policy code the
-// simulator runs, and VerifyAgainstSim asserts count-exact equivalence.
+// per-shard hotness scans. The single-threaded reference simulator remains
+// the semantic oracle: VerifyAgainstSim replays a trace through the
+// simulator's policy code, applies each of its moves to an unstarted
+// Engine's table, pools and counters, and asserts count-exact equivalence
+// with the simulator's own run.
 //
 // The keyspace is multi-tenant: every page belongs to a TenantID whose
 // namespace is folded into the table key, each tenant has a DRAM quota

@@ -52,30 +52,38 @@ func TestTenantConfigValidation(t *testing.T) {
 	}
 }
 
-func TestSynchronousRejectsMultiTenant(t *testing.T) {
-	_, err := New(Config{
-		DRAMPages: 8, NVMPages: 8, Synchronous: true,
+func TestVerifyRejectsMultiTenant(t *testing.T) {
+	recs := []trace.Record{{Addr: 0, Op: trace.OpRead}}
+	_, err := VerifyAgainstSim(Config{
+		DRAMPages: 8, NVMPages: 8,
 		Tenants: []TenantConfig{{ID: 0, DRAMQuota: 4}, {ID: 1, DRAMQuota: 4}},
-	})
+	}, recs)
 	if err == nil {
-		t.Fatal("synchronous multi-tenant engine accepted")
+		t.Fatal("multi-tenant verification accepted")
 	}
 	// A single non-default tenant is equally out: the reference policies
 	// know nothing about namespaces.
-	_, err = New(Config{
-		DRAMPages: 8, NVMPages: 8, Synchronous: true,
+	_, err = VerifyAgainstSim(Config{
+		DRAMPages: 8, NVMPages: 8,
 		Tenants: []TenantConfig{{ID: 1, DRAMQuota: 8}},
-	})
+	}, recs)
 	if err == nil {
-		t.Fatal("synchronous non-default tenant accepted")
+		t.Fatal("non-default tenant verification accepted")
 	}
 	// So is a partial quota: the reference policies would ignore it.
-	_, err = New(Config{
-		DRAMPages: 8, NVMPages: 8, Synchronous: true,
+	_, err = VerifyAgainstSim(Config{
+		DRAMPages: 8, NVMPages: 8,
 		Tenants: []TenantConfig{{ID: 0, DRAMQuota: 2}},
-	})
+	}, recs)
 	if err == nil {
-		t.Fatal("synchronous partial quota accepted")
+		t.Fatal("partial quota verification accepted")
+	}
+	// The default tenant owning all of DRAM, spelled out, is accepted.
+	if _, err := VerifyAgainstSim(Config{
+		DRAMPages: 8, NVMPages: 8,
+		Tenants: []TenantConfig{{ID: DefaultTenant, DRAMQuota: 8}},
+	}, recs); err != nil {
+		t.Fatalf("explicit default tenant rejected: %v", err)
 	}
 }
 
