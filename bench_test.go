@@ -204,8 +204,19 @@ func benchTrace(n int) []trace.Record {
 	return recs
 }
 
-func policyBench(b *testing.B, build func() policy.Policy) {
-	recs := benchTrace(200000)
+// sparseTrace renumbers every page p of recs to p·2^30+7, so each page
+// table lookup misses pagemap's dense span and takes its fallback map.
+func sparseTrace(recs []trace.Record) []trace.Record {
+	const pageSize = 4096
+	out := make([]trace.Record, len(recs))
+	for i, r := range recs {
+		r.Addr = (r.Addr/pageSize<<30+7)*pageSize + r.Addr%pageSize
+		out[i] = r
+	}
+	return out
+}
+
+func policyBench(b *testing.B, recs []trace.Record, build func() policy.Policy) {
 	spec := memspec.Default()
 	b.ResetTimer()
 	total := int64(0)
@@ -220,36 +231,59 @@ func policyBench(b *testing.B, build func() policy.Policy) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds()/1e6, "Maccesses/s")
 }
 
-// BenchmarkPolicyProposed measures the proposed scheme's access path.
-func BenchmarkPolicyProposed(b *testing.B) {
-	policyBench(b, func() policy.Policy {
-		p, _ := core.New(12, 117, core.DefaultConfig())
-		return p
-	})
+func benchProposed() policy.Policy {
+	p, _ := core.New(12, 117, core.DefaultConfig())
+	return p
 }
+
+func benchAdaptive() policy.Policy {
+	p, _ := core.NewAdaptive(12, 117, core.DefaultConfig(), core.DefaultAdaptiveConfig())
+	return p
+}
+
+func benchClockDWF() policy.Policy {
+	p, _ := clockdwf.New(12, 117, clockdwf.DefaultConfig())
+	return p
+}
+
+func benchDRAMOnly() policy.Policy {
+	p, _ := policy.NewDRAMOnly(129)
+	return p
+}
+
+func benchDRAMCache() policy.Policy {
+	p, _ := dramcache.New(12, 117, dramcache.DefaultConfig())
+	return p
+}
+
+// BenchmarkPolicyProposed measures the proposed scheme's access path.
+func BenchmarkPolicyProposed(b *testing.B) { policyBench(b, benchTrace(200000), benchProposed) }
 
 // BenchmarkPolicyAdaptive measures the adaptive variant's access path.
-func BenchmarkPolicyAdaptive(b *testing.B) {
-	policyBench(b, func() policy.Policy {
-		p, _ := core.NewAdaptive(12, 117, core.DefaultConfig(), core.DefaultAdaptiveConfig())
-		return p
-	})
-}
+func BenchmarkPolicyAdaptive(b *testing.B) { policyBench(b, benchTrace(200000), benchAdaptive) }
 
 // BenchmarkPolicyClockDWF measures CLOCK-DWF's access path.
-func BenchmarkPolicyClockDWF(b *testing.B) {
-	policyBench(b, func() policy.Policy {
-		p, _ := clockdwf.New(12, 117, clockdwf.DefaultConfig())
-		return p
-	})
-}
+func BenchmarkPolicyClockDWF(b *testing.B) { policyBench(b, benchTrace(200000), benchClockDWF) }
 
 // BenchmarkPolicyDRAMOnly measures the LRU baseline's access path.
-func BenchmarkPolicyDRAMOnly(b *testing.B) {
-	policyBench(b, func() policy.Policy {
-		p, _ := policy.NewDRAMOnly(129)
-		return p
-	})
+func BenchmarkPolicyDRAMOnly(b *testing.B) { policyBench(b, benchTrace(200000), benchDRAMOnly) }
+
+// BenchmarkPolicySparse measures each policy's access path on the same
+// trace with sparse page numbers: the page tables' fallback path.
+func BenchmarkPolicySparse(b *testing.B) {
+	recs := sparseTrace(benchTrace(200000))
+	for _, c := range []struct {
+		name  string
+		build func() policy.Policy
+	}{
+		{"proposed", benchProposed},
+		{"adaptive", benchAdaptive},
+		{"clock-dwf", benchClockDWF},
+		{"dram-only", benchDRAMOnly},
+		{"dramcache", benchDRAMCache},
+	} {
+		b.Run("policy="+c.name, func(b *testing.B) { policyBench(b, recs, c.build) })
+	}
 }
 
 // --- substrate micro-benchmarks ---
@@ -345,12 +379,7 @@ func BenchmarkAblationWearLevel(b *testing.B) {
 }
 
 // BenchmarkPolicyDRAMCache measures the cache-architecture access path.
-func BenchmarkPolicyDRAMCache(b *testing.B) {
-	policyBench(b, func() policy.Policy {
-		p, _ := dramcache.New(12, 117, dramcache.DefaultConfig())
-		return p
-	})
-}
+func BenchmarkPolicyDRAMCache(b *testing.B) { policyBench(b, benchTrace(200000), benchDRAMCache) }
 
 // BenchmarkClockPro measures the CLOCK-Pro replacement access path.
 func BenchmarkClockPro(b *testing.B) {

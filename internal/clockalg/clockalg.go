@@ -10,6 +10,8 @@ package clockalg
 
 import (
 	"fmt"
+
+	"hybridmem/internal/pagemap"
 )
 
 type node[V any] struct {
@@ -19,31 +21,30 @@ type node[V any] struct {
 	prev, next *node[V]
 }
 
-// Ring is a clock of pages keyed by page number. The zero value is not
-// usable; call New.
+// Ring is a clock of pages keyed by page number, found through a
+// pagemap.Map. The zero value is an empty ring.
 type Ring[V any] struct {
-	nodes map[uint64]*node[V]
+	nodes pagemap.Map[*node[V]]
 	hand  *node[V]
 }
 
 // New returns an empty ring.
 func New[V any]() *Ring[V] {
-	return &Ring[V]{nodes: make(map[uint64]*node[V])}
+	return &Ring[V]{}
 }
 
 // Len returns the number of pages in the ring.
-func (r *Ring[V]) Len() int { return len(r.nodes) }
+func (r *Ring[V]) Len() int { return r.nodes.Len() }
 
 // Contains reports whether key is present.
 func (r *Ring[V]) Contains(key uint64) bool {
-	_, ok := r.nodes[key]
-	return ok
+	return r.nodes.Get(key) != nil
 }
 
 // Get returns a pointer to key's value without touching its reference bit.
 func (r *Ring[V]) Get(key uint64) (*V, bool) {
-	n, ok := r.nodes[key]
-	if !ok {
+	n := r.nodes.Get(key)
+	if n == nil {
 		return nil, false
 	}
 	return &n.val, true
@@ -52,8 +53,8 @@ func (r *Ring[V]) Get(key uint64) (*V, bool) {
 // Reference sets key's reference bit (a page hit) and returns a pointer to
 // its value.
 func (r *Ring[V]) Reference(key uint64) (*V, bool) {
-	n, ok := r.nodes[key]
-	if !ok {
+	n := r.nodes.Get(key)
+	if n == nil {
 		return nil, false
 	}
 	n.ref = true
@@ -62,19 +63,19 @@ func (r *Ring[V]) Reference(key uint64) (*V, bool) {
 
 // Ref reports the current reference bit of key.
 func (r *Ring[V]) Ref(key uint64) bool {
-	n, ok := r.nodes[key]
-	return ok && n.ref
+	n := r.nodes.Get(key)
+	return n != nil && n.ref
 }
 
 // Insert adds a new page just behind the hand (the position the hand will
 // reach last), with the given initial reference bit. It is an error if the
 // key is already present.
 func (r *Ring[V]) Insert(key uint64, v V, ref bool) error {
-	if _, ok := r.nodes[key]; ok {
+	if r.nodes.Get(key) != nil {
 		return fmt.Errorf("clockalg: key %d already present", key)
 	}
 	n := &node[V]{key: key, val: v, ref: ref}
-	r.nodes[key] = n
+	r.nodes.Set(key, n)
 	if r.hand == nil {
 		n.prev, n.next = n, n
 		r.hand = n
@@ -99,14 +100,14 @@ func (r *Ring[V]) unlink(n *node[V]) {
 		}
 	}
 	n.prev, n.next = nil, nil
-	delete(r.nodes, n.key)
+	r.nodes.Delete(n.key)
 }
 
 // Remove deletes key from the ring (a migration, not an eviction) and
 // returns its value. The hand skips to the next page if it pointed here.
 func (r *Ring[V]) Remove(key uint64) (V, bool) {
-	n, ok := r.nodes[key]
-	if !ok {
+	n := r.nodes.Get(key)
+	if n == nil {
 		var zero V
 		return zero, false
 	}
@@ -137,7 +138,7 @@ func (r *Ring[V]) EvictFunc(keep KeepFunc[V], maxLaps int) (uint64, V, bool) {
 	if maxLaps < 1 {
 		maxLaps = 1
 	}
-	limit := len(r.nodes) * maxLaps
+	limit := r.nodes.Len() * maxLaps
 	for i := 0; i <= limit; i++ {
 		n := r.hand
 		if n.ref {
@@ -167,7 +168,7 @@ func (r *Ring[V]) Keys() []uint64 {
 	if r.hand == nil {
 		return nil
 	}
-	keys := make([]uint64, 0, len(r.nodes))
+	keys := make([]uint64, 0, r.nodes.Len())
 	for n := r.hand; ; n = n.next {
 		keys = append(keys, n.key)
 		if n.next == r.hand {
@@ -180,29 +181,29 @@ func (r *Ring[V]) Keys() []uint64 {
 // CheckInvariants validates the circular links against the key map.
 func (r *Ring[V]) CheckInvariants() error {
 	if r.hand == nil {
-		if len(r.nodes) != 0 {
-			return fmt.Errorf("clockalg: nil hand with %d nodes", len(r.nodes))
+		if r.nodes.Len() != 0 {
+			return fmt.Errorf("clockalg: nil hand with %d nodes", r.nodes.Len())
 		}
 		return nil
 	}
 	seen := 0
 	for n := r.hand; ; n = n.next {
-		if got, ok := r.nodes[n.key]; !ok || got != n {
+		if r.nodes.Get(n.key) != n {
 			return fmt.Errorf("clockalg: node %d linked but not mapped", n.key)
 		}
 		if n.next.prev != n || n.prev.next != n {
 			return fmt.Errorf("clockalg: broken links at %d", n.key)
 		}
 		seen++
-		if seen > len(r.nodes) {
-			return fmt.Errorf("clockalg: ring longer than map (%d > %d)", seen, len(r.nodes))
+		if seen > r.nodes.Len() {
+			return fmt.Errorf("clockalg: ring longer than map (%d > %d)", seen, r.nodes.Len())
 		}
 		if n.next == r.hand {
 			break
 		}
 	}
-	if seen != len(r.nodes) {
-		return fmt.Errorf("clockalg: ring has %d nodes, map has %d", seen, len(r.nodes))
+	if seen != r.nodes.Len() {
+		return fmt.Errorf("clockalg: ring has %d nodes, map has %d", seen, r.nodes.Len())
 	}
 	return nil
 }

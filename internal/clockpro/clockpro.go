@@ -19,6 +19,8 @@ package clockpro
 
 import (
 	"fmt"
+
+	"hybridmem/internal/pagemap"
 )
 
 type kind uint8
@@ -41,7 +43,7 @@ type entry struct {
 type Cache struct {
 	frames     int
 	coldTarget int
-	entries    map[uint64]*entry
+	entries    pagemap.Map[*entry]
 	// hand positions on the circular list; nil when empty.
 	handHot, handCold, handTest *entry
 	countHot, countCold         int // resident pages by kind
@@ -59,7 +61,6 @@ func New(frames int) (*Cache, error) {
 	return &Cache{
 		frames:     frames,
 		coldTarget: frames / 2,
-		entries:    make(map[uint64]*entry),
 	}, nil
 }
 
@@ -68,8 +69,8 @@ func (c *Cache) Len() int { return c.countHot + c.countCold }
 
 // Contains reports whether the page is resident.
 func (c *Cache) Contains(page uint64) bool {
-	e, ok := c.entries[page]
-	return ok && e.kind != test
+	e := c.entries.Get(page)
+	return e != nil && e.kind != test
 }
 
 // insert links e just behind handHot (the list position new pages take).
@@ -102,13 +103,13 @@ func (c *Cache) remove(e *entry) {
 		e.prev.next = e.next
 		e.next.prev = e.prev
 	}
-	delete(c.entries, e.page)
+	c.entries.Delete(e.page)
 }
 
 // Access services one reference. It returns whether it hit, and the page
 // evicted to make room on a miss (ok reports an eviction happened).
 func (c *Cache) Access(page uint64) (hit bool, evicted uint64, ok bool) {
-	if e, present := c.entries[page]; present && e.kind != test {
+	if e := c.entries.Get(page); e != nil && e.kind != test {
 		e.ref = true
 		c.Hits++
 		return true, 0, false
@@ -122,7 +123,7 @@ func (c *Cache) Access(page uint64) (hit bool, evicted uint64, ok bool) {
 		}
 	}
 
-	if e, present := c.entries[page]; present {
+	if e := c.entries.Get(page); e != nil {
 		// Fault within the test period: the reuse distance is short, so the
 		// page deserves hot status and cold pages in general deserve more
 		// room.
@@ -131,7 +132,7 @@ func (c *Cache) Access(page uint64) (hit bool, evicted uint64, ok bool) {
 		c.remove(e)
 		c.makeHotRoom()
 		c.insert(&entry{page: page, kind: hot})
-		c.entries[page] = c.handHot.prev
+		c.entries.Set(page, c.handHot.prev)
 		c.countHot++
 		return false, evicted, ok
 	}
@@ -140,7 +141,7 @@ func (c *Cache) Access(page uint64) (hit bool, evicted uint64, ok bool) {
 	// fresh test period.
 	e := &entry{page: page, kind: cold, inTest: true}
 	c.insert(e)
-	c.entries[page] = e
+	c.entries.Set(page, e)
 	c.countCold++
 	return false, evicted, ok
 }
@@ -237,7 +238,7 @@ func (c *Cache) findFrom(hand **entry, match func(*entry) bool) *entry {
 		return nil
 	}
 	e := *hand
-	for i := 0; i <= len(c.entries); i++ {
+	for i := 0; i <= c.entries.Len(); i++ {
 		if match(e) {
 			*hand = e
 			return e
@@ -268,7 +269,7 @@ func (c *Cache) HitRatio() float64 {
 // CheckInvariants validates counts and capacity.
 func (c *Cache) CheckInvariants() error {
 	nh, nc, nt := 0, 0, 0
-	for _, e := range c.entries {
+	c.entries.Range(func(_ uint64, e *entry) bool {
 		switch e.kind {
 		case hot:
 			nh++
@@ -277,7 +278,8 @@ func (c *Cache) CheckInvariants() error {
 		case test:
 			nt++
 		}
-	}
+		return true
+	})
 	if nh != c.countHot || nc != c.countCold || nt != c.countTest {
 		return fmt.Errorf("clockpro: counts drifted: %d/%d/%d vs %d/%d/%d",
 			nh, nc, nt, c.countHot, c.countCold, c.countTest)

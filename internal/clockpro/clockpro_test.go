@@ -63,7 +63,7 @@ func TestTestPeriodPromotion(t *testing.T) {
 		t.Skip("page 1 survived the flood; pattern needs adjusting")
 	}
 	c.Access(1) // fault within test period -> hot
-	e := c.entries[1]
+	e := c.entries.Get(1)
 	if e == nil || e.kind != hot {
 		t.Errorf("re-faulted page kind = %v, want hot", e)
 	}

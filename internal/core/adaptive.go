@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hybridmem/internal/mm"
+	"hybridmem/internal/pagemap"
 	"hybridmem/internal/policy"
 	"hybridmem/internal/trace"
 )
@@ -78,7 +79,7 @@ type Adaptive struct {
 	epochAccesses   int
 	epochPromotions int64
 	epochUseful     int64
-	promoted        map[uint64]bool
+	promoted        pagemap.Map[bool] // promoted since their last demotion or eviction
 
 	// Adjustments counts threshold changes (for tests and reports).
 	Adjustments int
@@ -95,7 +96,7 @@ func NewAdaptive(dramFrames, nvmFrames int, base Config, cfg AdaptiveConfig) (*A
 	if err != nil {
 		return nil, err
 	}
-	return &Adaptive{inner: inner, cfg: cfg, promoted: make(map[uint64]bool)}, nil
+	return &Adaptive{inner: inner, cfg: cfg}, nil
 }
 
 // Name implements policy.Policy.
@@ -114,16 +115,16 @@ func (a *Adaptive) Access(page uint64, op trace.Op) (policy.Result, error) {
 		return res, err
 	}
 	// A DRAM hit on a page we promoted is utility earned by its migration.
-	if !res.Fault && res.ServedFrom == mm.LocDRAM && len(res.Moves) == 0 && a.promoted[page] {
+	if !res.Fault && res.ServedFrom == mm.LocDRAM && len(res.Moves) == 0 && a.promoted.Get(page) {
 		a.epochUseful++
 	}
 	for _, m := range res.Moves {
 		switch m.Reason {
 		case policy.ReasonPromotion:
-			a.promoted[m.Page] = true
+			a.promoted.Set(m.Page, true)
 			a.epochPromotions++
 		case policy.ReasonDemoteFault, policy.ReasonDemotePromo, policy.ReasonEvict:
-			delete(a.promoted, m.Page)
+			a.promoted.Delete(m.Page)
 		}
 	}
 	a.epochAccesses++

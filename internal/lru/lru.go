@@ -1,6 +1,8 @@
 // Package lru implements the recency list at the heart of both the paper's
 // proposed scheme and the single-technology baselines: a doubly-linked LRU
-// list with O(1) lookup, plus optional *position windows* ("markers").
+// list whose nodes are found through a pagemap.Map (a slice index for
+// dense page numbers, a hash probe only for sparse ones), plus optional
+// *position windows* ("markers").
 //
 // A marker watches the top K positions of the list. The proposed scheme
 // (Section IV) keeps read/write counters only for pages within the top
@@ -15,6 +17,8 @@ package lru
 import (
 	"errors"
 	"fmt"
+
+	"hybridmem/internal/pagemap"
 )
 
 // DemoteFunc is called when a node is pushed out of a marker's window. The
@@ -41,14 +45,14 @@ type marker[V any] struct {
 // List is an LRU list from page keys to values. The front is the most
 // recently used position. The zero value is not usable; call New.
 type List[V any] struct {
-	nodes   map[uint64]*node[V]
+	nodes   pagemap.Map[*node[V]]
 	root    node[V] // sentinel: root.next = front, root.prev = back
 	markers []*marker[V]
 }
 
 // New returns an empty list.
 func New[V any]() *List[V] {
-	l := &List[V]{nodes: make(map[uint64]*node[V])}
+	l := &List[V]{}
 	l.root.next = &l.root
 	l.root.prev = &l.root
 	return l
@@ -57,7 +61,7 @@ func New[V any]() *List[V] {
 // AddMarker registers a window over the top `capacity` positions. Markers
 // must be added while the list is empty, and at most 8 are supported.
 func (l *List[V]) AddMarker(capacity int, onDemote DemoteFunc[V]) (MarkerID, error) {
-	if len(l.nodes) != 0 {
+	if l.nodes.Len() != 0 {
 		return 0, errors.New("lru: markers must be added to an empty list")
 	}
 	if capacity < 1 {
@@ -71,18 +75,17 @@ func (l *List[V]) AddMarker(capacity int, onDemote DemoteFunc[V]) (MarkerID, err
 }
 
 // Len returns the number of nodes in the list.
-func (l *List[V]) Len() int { return len(l.nodes) }
+func (l *List[V]) Len() int { return l.nodes.Len() }
 
 // Contains reports whether key is present.
 func (l *List[V]) Contains(key uint64) bool {
-	_, ok := l.nodes[key]
-	return ok
+	return l.nodes.Get(key) != nil
 }
 
 // Get returns a pointer to key's value without changing its position.
 func (l *List[V]) Get(key uint64) (*V, bool) {
-	n, ok := l.nodes[key]
-	if !ok {
+	n := l.nodes.Get(key)
+	if n == nil {
 		return nil, false
 	}
 	return &n.val, true
@@ -90,8 +93,8 @@ func (l *List[V]) Get(key uint64) (*V, bool) {
 
 // InWindow reports whether key is currently inside marker m's window.
 func (l *List[V]) InWindow(key uint64, m MarkerID) bool {
-	n, ok := l.nodes[key]
-	return ok && n.inWin&(1<<uint(m)) != 0
+	n := l.nodes.Get(key)
+	return n != nil && n.inWin&(1<<uint(m)) != 0
 }
 
 // Front returns the most recently used key.
@@ -133,11 +136,11 @@ func (m *marker[V]) demote(n *node[V], bit uint8) {
 // PushFront inserts a new key at the MRU position. It is an error if the key
 // is already present (use Touch).
 func (l *List[V]) PushFront(key uint64, v V) error {
-	if _, ok := l.nodes[key]; ok {
+	if l.nodes.Get(key) != nil {
 		return fmt.Errorf("lru: key %d already present", key)
 	}
 	n := &node[V]{key: key, val: v}
-	l.nodes[key] = n
+	l.nodes.Set(key, n)
 	l.linkFront(n)
 	for i, m := range l.markers {
 		bit := uint8(1) << uint(i)
@@ -161,8 +164,8 @@ func (l *List[V]) PushFront(key uint64, v V) error {
 
 // Touch moves key to the MRU position and returns a pointer to its value.
 func (l *List[V]) Touch(key uint64) (*V, bool) {
-	n, ok := l.nodes[key]
-	if !ok {
+	n := l.nodes.Get(key)
+	if n == nil {
 		return nil, false
 	}
 	if l.root.next == n { // already front; membership cannot change
@@ -229,14 +232,14 @@ func (l *List[V]) removeNode(n *node[V]) V {
 		}
 	}
 	l.unlink(n)
-	delete(l.nodes, n.key)
+	l.nodes.Delete(n.key)
 	return n.val
 }
 
 // Remove deletes key from any position and returns its value.
 func (l *List[V]) Remove(key uint64) (V, bool) {
-	n, ok := l.nodes[key]
-	if !ok {
+	n := l.nodes.Get(key)
+	if n == nil {
 		var zero V
 		return zero, false
 	}
@@ -284,13 +287,13 @@ func (l *List[V]) CheckInvariants() error {
 	// Walk forward and backward to validate the links.
 	fwd := 0
 	for n := l.root.next; n != &l.root; n = n.next {
-		if got, ok := l.nodes[n.key]; !ok || got != n {
+		if l.nodes.Get(n.key) != n {
 			return fmt.Errorf("lru: node %d linked but not mapped", n.key)
 		}
 		fwd++
 	}
-	if fwd != len(l.nodes) {
-		return fmt.Errorf("lru: %d linked nodes, %d mapped", fwd, len(l.nodes))
+	if fwd != l.nodes.Len() {
+		return fmt.Errorf("lru: %d linked nodes, %d mapped", fwd, l.nodes.Len())
 	}
 	for i, m := range l.markers {
 		bit := uint8(1) << uint(i)

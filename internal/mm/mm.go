@@ -12,12 +12,16 @@
 //
 // The trace's addresses are treated as one flat address space, so a single
 // page table stands in for the per-process tables of a real kernel; the
-// migration scheme operates on physical pages and is agnostic to this.
+// migration scheme operates on physical pages and is agnostic to this. Like
+// a kernel's, the tables are indexed rather than hashed: the page table is
+// a pagemap.Map, and each zone's frame table is a slice.
 package mm
 
 import (
 	"errors"
 	"fmt"
+
+	"hybridmem/internal/pagemap"
 )
 
 // Location says where a data page currently lives.
@@ -54,9 +58,9 @@ type Frame struct {
 
 type zone struct {
 	capacity int
-	free     []int          // free frame indices (LIFO)
-	pageOf   map[int]uint64 // frame index -> resident page
-	wear     []uint64       // per-physical-frame line-write counters
+	free     []int    // free frame indices (LIFO)
+	pageOf   []uint64 // frame index -> resident page (stale for free frames)
+	wear     []uint64 // per-physical-frame line-write counters
 	// leveler, when set, remaps logical frame indices to physical ones for
 	// wear accounting (Start-Gap wear leveling; the zone gets one spare
 	// physical frame, so wear has capacity+1 entries).
@@ -67,7 +71,7 @@ func newZone(capacity int) *zone {
 	z := &zone{
 		capacity: capacity,
 		free:     make([]int, capacity),
-		pageOf:   make(map[int]uint64, capacity),
+		pageOf:   make([]uint64, capacity),
 		wear:     make([]uint64, capacity),
 	}
 	for i := range z.free {
@@ -88,14 +92,24 @@ func (z *zone) alloc(page uint64) (int, bool) {
 }
 
 func (z *zone) release(idx int) {
-	delete(z.pageOf, idx)
 	z.free = append(z.free, idx)
 }
 
+// residents returns the number of allocated frames.
+func (z *zone) residents() int { return z.capacity - len(z.free) }
+
 // System is the two-zone physical memory with its inverted page table.
 type System struct {
-	zones map[Location]*zone
-	where map[uint64]Frame // resident pages only
+	zones [LocNVM + 1]*zone  // indexed by Location; zones[LocDisk] is nil
+	where pagemap.Map[Frame] // resident pages only (a zero Frame is absent)
+}
+
+// zoneAt returns the zone at loc, or nil for LocDisk and unknown values.
+func (s *System) zoneAt(loc Location) *zone {
+	if int(loc) < len(s.zones) {
+		return s.zones[loc]
+	}
+	return nil
 }
 
 // NewSystem creates a memory with the given frame counts. A zone may have
@@ -108,18 +122,15 @@ func NewSystem(dramFrames, nvmFrames int) (*System, error) {
 	if dramFrames+nvmFrames == 0 {
 		return nil, errors.New("mm: memory needs at least one frame")
 	}
-	return &System{
-		zones: map[Location]*zone{
-			LocDRAM: newZone(dramFrames),
-			LocNVM:  newZone(nvmFrames),
-		},
-		where: make(map[uint64]Frame),
-	}, nil
+	s := &System{}
+	s.zones[LocDRAM] = newZone(dramFrames)
+	s.zones[LocNVM] = newZone(nvmFrames)
+	return s, nil
 }
 
 // Cap returns the total frame count of a zone.
 func (s *System) Cap(loc Location) int {
-	if z, ok := s.zones[loc]; ok {
+	if z := s.zoneAt(loc); z != nil {
 		return z.capacity
 	}
 	return 0
@@ -127,7 +138,7 @@ func (s *System) Cap(loc Location) int {
 
 // Free returns the number of unused frames in a zone.
 func (s *System) Free(loc Location) int {
-	if z, ok := s.zones[loc]; ok {
+	if z := s.zoneAt(loc); z != nil {
 		return len(z.free)
 	}
 	return 0
@@ -135,24 +146,21 @@ func (s *System) Free(loc Location) int {
 
 // Residents returns the number of pages currently in a zone.
 func (s *System) Residents(loc Location) int {
-	if z, ok := s.zones[loc]; ok {
-		return len(z.pageOf)
+	if z := s.zoneAt(loc); z != nil {
+		return z.residents()
 	}
 	return 0
 }
 
 // Loc returns where a page currently lives (LocDisk if not resident).
 func (s *System) Loc(page uint64) Location {
-	if f, ok := s.where[page]; ok {
-		return f.Zone
-	}
-	return LocDisk
+	return s.where.Get(page).Zone
 }
 
 // FrameOf returns the frame a page occupies, if resident.
 func (s *System) FrameOf(page uint64) (Frame, bool) {
-	f, ok := s.where[page]
-	return f, ok
+	f := s.where.Get(page)
+	return f, f.Zone != LocDisk
 }
 
 // Place loads a non-resident page into the given zone (the page-fault path).
@@ -160,7 +168,7 @@ func (s *System) Place(page uint64, loc Location) (Frame, error) {
 	if !loc.IsMemory() {
 		return Frame{}, fmt.Errorf("mm: cannot place page %d at %s", page, loc)
 	}
-	if f, ok := s.where[page]; ok {
+	if f, ok := s.FrameOf(page); ok {
 		return Frame{}, fmt.Errorf("mm: page %d already resident in %s", page, f.Zone)
 	}
 	idx, ok := s.zones[loc].alloc(page)
@@ -168,7 +176,7 @@ func (s *System) Place(page uint64, loc Location) (Frame, error) {
 		return Frame{}, fmt.Errorf("mm: %s zone full (%d frames)", loc, s.zones[loc].capacity)
 	}
 	f := Frame{Zone: loc, Index: idx}
-	s.where[page] = f
+	s.where.Set(page, f)
 	return f, nil
 }
 
@@ -177,7 +185,7 @@ func (s *System) Migrate(page uint64, to Location) (Frame, error) {
 	if !to.IsMemory() {
 		return Frame{}, fmt.Errorf("mm: cannot migrate page %d to %s", page, to)
 	}
-	from, ok := s.where[page]
+	from, ok := s.FrameOf(page)
 	if !ok {
 		return Frame{}, fmt.Errorf("mm: page %d not resident", page)
 	}
@@ -190,7 +198,7 @@ func (s *System) Migrate(page uint64, to Location) (Frame, error) {
 	}
 	s.zones[from.Zone].release(from.Index)
 	f := Frame{Zone: to, Index: idx}
-	s.where[page] = f
+	s.where.Set(page, f)
 	return f, nil
 }
 
@@ -198,8 +206,8 @@ func (s *System) Migrate(page uint64, to Location) (Frame, error) {
 // DMA-buffered page exchange used when a promotion must displace a victim
 // and both zones are full.
 func (s *System) Swap(a, b uint64) error {
-	fa, okA := s.where[a]
-	fb, okB := s.where[b]
+	fa, okA := s.FrameOf(a)
+	fb, okB := s.FrameOf(b)
 	if !okA || !okB {
 		return fmt.Errorf("mm: swap needs both pages resident (%d:%v, %d:%v)", a, okA, b, okB)
 	}
@@ -208,18 +216,19 @@ func (s *System) Swap(a, b uint64) error {
 	}
 	s.zones[fa.Zone].pageOf[fa.Index] = b
 	s.zones[fb.Zone].pageOf[fb.Index] = a
-	s.where[a], s.where[b] = fb, fa
+	s.where.Set(a, fb)
+	s.where.Set(b, fa)
 	return nil
 }
 
 // EvictToDisk removes a resident page from memory.
 func (s *System) EvictToDisk(page uint64) error {
-	f, ok := s.where[page]
+	f, ok := s.FrameOf(page)
 	if !ok {
 		return fmt.Errorf("mm: page %d not resident", page)
 	}
 	s.zones[f.Zone].release(f.Index)
-	delete(s.where, page)
+	s.where.Delete(page)
 	return nil
 }
 
@@ -228,8 +237,8 @@ func (s *System) EvictToDisk(page uint64) error {
 // one spare physical frame for the rotating gap. Must be called before any
 // wear is recorded.
 func (s *System) EnableWearLeveling(loc Location, period int) error {
-	z, ok := s.zones[loc]
-	if !ok || !loc.IsMemory() {
+	z := s.zoneAt(loc)
+	if z == nil {
 		return fmt.Errorf("mm: no zone at %v", loc)
 	}
 	if z.leveler != nil {
@@ -253,7 +262,7 @@ func (s *System) EnableWearLeveling(loc Location, period int) error {
 // performed (0 without leveling). Each move costs one page copy of
 // background overhead.
 func (s *System) GapMoves(loc Location) int64 {
-	if z, ok := s.zones[loc]; ok && z.leveler != nil {
+	if z := s.zoneAt(loc); z != nil && z.leveler != nil {
 		return z.leveler.GapMoves
 	}
 	return 0
@@ -284,7 +293,7 @@ func (z *zone) chargeWear(index int, lineWrites uint64) error {
 // AddWear charges lineWrites line-sized writes to the frame holding page.
 // The endurance model uses per-frame wear to estimate NVM lifetime.
 func (s *System) AddWear(page uint64, lineWrites uint64) error {
-	f, ok := s.where[page]
+	f, ok := s.FrameOf(page)
 	if !ok {
 		return fmt.Errorf("mm: wear on non-resident page %d", page)
 	}
@@ -295,8 +304,8 @@ func (s *System) AddWear(page uint64, lineWrites uint64) error {
 // physically happened on a frame the page has since vacated (e.g. a write
 // hit that immediately triggered the page's migration).
 func (s *System) AddWearFrame(f Frame, lineWrites uint64) error {
-	z, ok := s.zones[f.Zone]
-	if !ok {
+	z := s.zoneAt(f.Zone)
+	if z == nil {
 		return fmt.Errorf("mm: wear on unknown zone %v", f.Zone)
 	}
 	if f.Index < 0 || f.Index >= z.capacity {
@@ -315,8 +324,8 @@ type WearStats struct {
 // Wear returns the wear statistics of a zone.
 func (s *System) Wear(loc Location) WearStats {
 	var ws WearStats
-	z, ok := s.zones[loc]
-	if !ok {
+	z := s.zoneAt(loc)
+	if z == nil {
 		return ws
 	}
 	for _, w := range z.wear {
@@ -333,27 +342,52 @@ func (s *System) Wear(loc Location) WearStats {
 
 // CheckInvariants validates exclusive residence and zone accounting.
 func (s *System) CheckInvariants() error {
-	counts := map[Location]int{}
-	for page, f := range s.where {
-		z, ok := s.zones[f.Zone]
-		if !ok {
-			return fmt.Errorf("mm: page %d in unknown zone %v", page, f.Zone)
-		}
-		got, ok := z.pageOf[f.Index]
-		if !ok || got != page {
-			return fmt.Errorf("mm: page %d claims frame %v, zone says %d (%v)",
-				page, f, got, ok)
-		}
-		counts[f.Zone]++
-	}
+	// inUse[loc][i] reports whether frame i of zone loc is off the free list.
+	var inUse [len(s.zones)][]bool
 	for loc, z := range s.zones {
-		if counts[loc] != len(z.pageOf) {
-			return fmt.Errorf("mm: %s has %d mapped pages but %d residents",
-				loc, counts[loc], len(z.pageOf))
+		if z == nil {
+			continue
 		}
-		if len(z.pageOf)+len(z.free) != z.capacity {
-			return fmt.Errorf("mm: %s frames leaked: %d used + %d free != %d",
-				loc, len(z.pageOf), len(z.free), z.capacity)
+		used := make([]bool, z.capacity)
+		for i := range used {
+			used[i] = true
+		}
+		for _, idx := range z.free {
+			if idx < 0 || idx >= z.capacity || !used[idx] {
+				return fmt.Errorf("mm: %s free list holds bad or repeated frame %d",
+					Location(loc), idx)
+			}
+			used[idx] = false
+		}
+		inUse[loc] = used
+	}
+	var counts [len(s.zones)]int
+	var err error
+	s.where.Range(func(page uint64, f Frame) bool {
+		z := s.zoneAt(f.Zone)
+		switch {
+		case z == nil:
+			err = fmt.Errorf("mm: page %d in unknown zone %v", page, f.Zone)
+		case f.Index < 0 || f.Index >= z.capacity || !inUse[f.Zone][f.Index]:
+			err = fmt.Errorf("mm: page %d claims free or out-of-range frame %v", page, f)
+		case z.pageOf[f.Index] != page:
+			err = fmt.Errorf("mm: page %d claims frame %v, zone says %d",
+				page, f, z.pageOf[f.Index])
+		default:
+			counts[f.Zone]++
+			return true
+		}
+		return false
+	})
+	if err != nil {
+		return err
+	}
+	// Each mapped page owns a distinct allocated frame (pageOf names one
+	// page per frame), so equal counts make the mapping a bijection.
+	for loc, z := range s.zones {
+		if z != nil && counts[loc] != z.residents() {
+			return fmt.Errorf("mm: %s has %d mapped pages but %d allocated frames",
+				Location(loc), counts[loc], z.residents())
 		}
 	}
 	return nil

@@ -205,3 +205,87 @@ func anyPage(rng *rand.Rand, m map[uint64]bool) uint64 {
 	}
 	panic("unreachable")
 }
+
+// TestNonMemoryLocations pins the answers for LocDisk and out-of-range
+// Location values: no frames, no wear, no leveling.
+func TestNonMemoryLocations(t *testing.T) {
+	s, _ := NewSystem(2, 3)
+	for _, loc := range []Location{LocDisk, Location(3), Location(255)} {
+		if s.Cap(loc) != 0 || s.Free(loc) != 0 || s.Residents(loc) != 0 || s.GapMoves(loc) != 0 {
+			t.Errorf("%d: cap/free/residents/gap = %d/%d/%d/%d", loc,
+				s.Cap(loc), s.Free(loc), s.Residents(loc), s.GapMoves(loc))
+		}
+		if w := s.Wear(loc); w != (WearStats{}) {
+			t.Errorf("%d: wear %+v", loc, w)
+		}
+		if err := s.EnableWearLeveling(loc, 10); err == nil {
+			t.Errorf("%d: wear leveling enabled on a non-memory location", loc)
+		}
+		if err := s.AddWearFrame(Frame{Zone: loc}, 1); err == nil {
+			t.Errorf("%d: wear charged to a non-memory frame", loc)
+		}
+	}
+}
+
+// TestSparsePageNumbers places pages whose numbers are far beyond the
+// frame count, including the extremes of the page-number space.
+func TestSparsePageNumbers(t *testing.T) {
+	s, _ := NewSystem(2, 2)
+	pages := []uint64{0, 1 << 40, 1<<64 - 1, 7<<30 + 7}
+	for i, p := range pages {
+		loc := LocDRAM
+		if i%2 == 1 {
+			loc = LocNVM
+		}
+		if _, err := s.Place(p, loc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Swap(0, 7<<30+7); err != nil {
+		t.Fatal(err)
+	}
+	if s.Loc(0) != LocNVM || s.Loc(7<<30+7) != LocDRAM || s.Loc(1<<64-1) != LocDRAM || s.Loc(5) != LocDisk {
+		t.Error("Loc wrong after swap")
+	}
+	if err := s.EvictToDisk(1 << 40); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.FrameOf(1 << 40); ok {
+		t.Error("evicted page still has a frame")
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckInvariantsDetectsCorruption breaks the frame tables directly
+// and expects each break to be reported.
+func TestCheckInvariantsDetectsCorruption(t *testing.T) {
+	build := func() *System {
+		s, _ := NewSystem(2, 2)
+		if _, err := s.Place(10, LocDRAM); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Place(11, LocNVM); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	cases := map[string]func(s *System){
+		"wrong resident": func(s *System) { s.zones[LocDRAM].pageOf[0] = 99 },
+		"frame freed":    func(s *System) { s.zones[LocNVM].release(0) },
+		"frame leaked":   func(s *System) { s.zones[LocDRAM].free = s.zones[LocDRAM].free[:0] },
+		"bad free frame": func(s *System) { s.zones[LocNVM].free[0] = 5 },
+		"unknown zone":   func(s *System) { s.where.Set(12, Frame{Zone: Location(9)}) },
+	}
+	for name, corrupt := range cases {
+		s := build()
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("%s: clean system: %v", name, err)
+		}
+		corrupt(s)
+		if err := s.CheckInvariants(); err == nil {
+			t.Errorf("%s: corruption not detected", name)
+		}
+	}
+}

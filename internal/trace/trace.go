@@ -82,10 +82,27 @@ func (s *SliceSource) Reset() { s.i = 0 }
 // source was exhausted.
 var ErrTruncated = errors.New("trace: materialize limit reached before end of source")
 
+// sizedSource is a Source that knows how many records it emits in all,
+// as the workload generators do.
+type sizedSource interface {
+	TotalAccesses() int64
+}
+
 // Materialize drains src into a slice, up to max records (max <= 0 means
 // unlimited). It returns ErrTruncated if the limit cut the stream short.
+// When src reports its length through a TotalAccesses() int64 method, the
+// slice is allocated once at that size instead of grown by appends.
 func Materialize(src Source, max int) ([]Record, error) {
 	var recs []Record
+	if s, ok := src.(sizedSource); ok {
+		n := s.TotalAccesses()
+		if max > 0 && n > int64(max) {
+			n = int64(max)
+		}
+		if n > 0 {
+			recs = make([]Record, 0, n)
+		}
+	}
 	for {
 		if max > 0 && len(recs) == max {
 			if _, ok := src.Next(); ok {

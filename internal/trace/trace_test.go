@@ -235,3 +235,35 @@ func TestStatsEmpty(t *testing.T) {
 		t.Error("empty stats should be zero")
 	}
 }
+
+// lengthSource is a SliceSource that reports a (possibly wrong) length.
+type lengthSource struct {
+	*SliceSource
+	n int64
+}
+
+func (s lengthSource) TotalAccesses() int64 { return s.n }
+
+// TestMaterializePresized checks a source reporting its length gets one
+// allocation of that size and the same records, and that a hint which is
+// wrong, or beyond the limit, changes neither the records nor truncation.
+func TestMaterializePresized(t *testing.T) {
+	recs := randomRecords(10, 4)
+	got, err := Materialize(lengthSource{NewSliceSource(recs), 10}, 0)
+	if err != nil || !reflect.DeepEqual(got, recs) {
+		t.Fatalf("sized source: err=%v, records differ=%v", err, !reflect.DeepEqual(got, recs))
+	}
+	if cap(got) != 10 {
+		t.Errorf("cap = %d, want 10 (one allocation)", cap(got))
+	}
+	for _, hint := range []int64{-1, 0, 3, 25} {
+		got, err := Materialize(lengthSource{NewSliceSource(recs), hint}, 0)
+		if err != nil || !reflect.DeepEqual(got, recs) {
+			t.Errorf("hint %d: err=%v, records differ=%v", hint, err, !reflect.DeepEqual(got, recs))
+		}
+	}
+	got, err = Materialize(lengthSource{NewSliceSource(recs), 10}, 4)
+	if err != ErrTruncated || !reflect.DeepEqual(got, recs[:4]) || cap(got) != 4 {
+		t.Errorf("limit 4: err=%v len=%d cap=%d", err, len(got), cap(got))
+	}
+}

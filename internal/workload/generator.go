@@ -240,7 +240,7 @@ func (g *Generator) WarmupSource(seed int64) trace.Source {
 	wf := g.spec.WriteFraction()
 	i := 0
 	var cpu uint8
-	return trace.FuncSource(func() (trace.Record, bool) {
+	next := trace.FuncSource(func() (trace.Record, bool) {
 		if i >= g.pages {
 			return trace.Record{}, false
 		}
@@ -263,4 +263,15 @@ func (g *Generator) WarmupSource(seed int64) trace.Source {
 			CPU:  cpu,
 		}, true
 	})
+	return sizedSource{int64(g.pages), next}
 }
+
+// sizedSource is a stream that reports its length, so trace.Materialize
+// allocates its slice once.
+type sizedSource struct {
+	n int64
+	trace.Source
+}
+
+// TotalAccesses returns the number of records the stream emits.
+func (s sizedSource) TotalAccesses() int64 { return s.n }

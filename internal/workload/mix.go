@@ -105,5 +105,5 @@ func (m *Mix) WarmupSource(seed int64) trace.Source {
 			return rebase(r, tenant), true
 		})
 	}
-	return trace.Concat(srcs...)
+	return sizedSource{int64(m.Pages()), trace.Concat(srcs...)}
 }

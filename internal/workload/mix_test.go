@@ -94,6 +94,9 @@ func TestMixWarmupCoversCombinedFootprint(t *testing.T) {
 	if st.FootprintPages() != m.Pages() {
 		t.Errorf("warmup covered %d pages, want %d", st.FootprintPages(), m.Pages())
 	}
+	if n := m.WarmupSource(1).(sizedSource).TotalAccesses(); n != st.Total() {
+		t.Errorf("warmup reports %d accesses, emits %d", n, st.Total())
+	}
 }
 
 func TestMixDeterminism(t *testing.T) {

@@ -217,6 +217,9 @@ func TestWarmupTouchesEveryPageOnce(t *testing.T) {
 	if st.Total() != int64(g.Pages()) {
 		t.Errorf("warmup emitted %d accesses, want %d", st.Total(), g.Pages())
 	}
+	if n := g.WarmupSource(1).(sizedSource).TotalAccesses(); n != st.Total() {
+		t.Errorf("warmup reports %d accesses, emits %d", n, st.Total())
+	}
 	if st.FootprintPages() != g.Pages() {
 		t.Errorf("warmup covered %d pages, want %d", st.FootprintPages(), g.Pages())
 	}
