@@ -161,14 +161,12 @@ func (s *Scheme) Access(page uint64, op trace.Op) (policy.Result, error) {
 		return policy.Result{ServedFrom: mm.LocDRAM}, nil
 	}
 
-	if s.nvm.Contains(page) {
-		// Lines 7-9: the LRU update pushes one page across each window
-		// boundary; the marker demotion callbacks reset its counters.
-		// Window membership is sampled before the update: "request is
-		// within readperc" refers to the page's position when it is hit.
-		inRead := s.nvm.InWindow(page, s.readWin)
-		inWrite := s.nvm.InWindow(page, s.writeWin)
-		v, _ := s.nvm.Touch(page)
+	// Lines 7-9: the LRU update pushes one page across each window
+	// boundary; the marker demotion callbacks reset its counters. Window
+	// membership is sampled before the update: "request is within
+	// readperc" refers to the page's position when it is hit.
+	if v, was, ok := s.nvm.TouchMarks(page); ok {
+		inRead, inWrite := was.Has(s.readWin), was.Has(s.writeWin)
 
 		// Lines 10-22: update the counter for the request's kind.
 		migrate := false

@@ -28,6 +28,12 @@ type DemoteFunc[V any] func(key uint64, v *V)
 // MarkerID identifies a window created by AddMarker.
 type MarkerID int
 
+// Marks is a set of marker windows, as returned by TouchMarks.
+type Marks uint8
+
+// Has reports whether the set contains marker m's window.
+func (s Marks) Has(m MarkerID) bool { return s&(1<<uint(m)) != 0 }
+
 type node[V any] struct {
 	key        uint64
 	val        V
@@ -89,12 +95,6 @@ func (l *List[V]) Get(key uint64) (*V, bool) {
 		return nil, false
 	}
 	return &n.val, true
-}
-
-// InWindow reports whether key is currently inside marker m's window.
-func (l *List[V]) InWindow(key uint64, m MarkerID) bool {
-	n := l.nodes.Get(key)
-	return n != nil && n.inWin&(1<<uint(m)) != 0
 }
 
 // Front returns the most recently used key.
@@ -164,12 +164,21 @@ func (l *List[V]) PushFront(key uint64, v V) error {
 
 // Touch moves key to the MRU position and returns a pointer to its value.
 func (l *List[V]) Touch(key uint64) (*V, bool) {
+	v, _, ok := l.TouchMarks(key)
+	return v, ok
+}
+
+// TouchMarks is Touch that also returns the windows key was inside before
+// the move, so a caller can sample window membership at hit time with the
+// same single lookup.
+func (l *List[V]) TouchMarks(key uint64) (*V, Marks, bool) {
 	n := l.nodes.Get(key)
 	if n == nil {
-		return nil, false
+		return nil, 0, false
 	}
+	was := Marks(n.inWin)
 	if l.root.next == n { // already front; membership cannot change
-		return &n.val, true
+		return &n.val, was, true
 	}
 	oldPrev := n.prev
 	l.unlink(n)
@@ -198,7 +207,7 @@ func (l *List[V]) Touch(key uint64) (*V, bool) {
 		m.demote(old, bit)
 		n.inWin |= bit
 	}
-	return &n.val, true
+	return &n.val, was, true
 }
 
 // removeNode fixes markers and unlinks n.

@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// inWindow reports whether key is currently inside marker m's window.
+func (l *List[V]) inWindow(key uint64, m MarkerID) bool {
+	n := l.nodes.Get(key)
+	return n != nil && n.inWin&(1<<uint(m)) != 0
+}
+
 func TestEmptyList(t *testing.T) {
 	l := New[int]()
 	if l.Len() != 0 {
@@ -120,7 +126,7 @@ func TestWindowMembershipOnPush(t *testing.T) {
 	if !reflect.DeepEqual(demoted, []uint64{1}) {
 		t.Fatalf("demoted = %v, want [1]", demoted)
 	}
-	if !l.InWindow(3, m) || !l.InWindow(2, m) || l.InWindow(1, m) {
+	if !l.inWindow(3, m) || !l.inWindow(2, m) || l.inWindow(1, m) {
 		t.Errorf("window membership wrong: %v", l.WindowKeys(m))
 	}
 	if err := l.CheckInvariants(); err != nil {
@@ -255,7 +261,7 @@ func TestNestedWindows(t *testing.T) {
 	}
 	// A node in the large-only region touched to front enters both.
 	l.Touch(3)
-	if !l.InWindow(3, small) || !l.InWindow(3, large) {
+	if !l.inWindow(3, small) || !l.inWindow(3, large) {
 		t.Error("touched node should be in both windows")
 	}
 	if err := l.CheckInvariants(); err != nil {
@@ -389,6 +395,89 @@ func TestDemotionExactness(t *testing.T) {
 		}
 		if !reflect.DeepEqual(demotions, expected) {
 			t.Fatalf("step %d: demotions %v, want %v", step, demotions, expected)
+		}
+	}
+}
+
+// TestTouchMarksMatchesInWindowThenTouch drives two lists through the same
+// random operations with two markers. One list is touched with
+// TouchMarks, the other is probed for window membership and then
+// touched with Touch; the returned marks, the values, the demotions and
+// the list order must agree at every step.
+func TestTouchMarksMatchesInWindowThenTouch(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	type demotion struct {
+		key uint64
+		m   int
+	}
+	var gotDem, wantDem []demotion
+	got, want := New[int](), New[int]()
+	var ids [2]MarkerID
+	for i, c := range []int{3, 8} {
+		i := i
+		var err error
+		if ids[i], err = got.AddMarker(c, func(k uint64, _ *int) { gotDem = append(gotDem, demotion{k, i}) }); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := want.AddMarker(c, func(k uint64, _ *int) { wantDem = append(wantDem, demotion{k, i}) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var present []uint64
+	nextKey := uint64(1)
+	for step := 0; step < 5000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 3 || len(present) == 0:
+			got.PushFront(nextKey, 0)
+			want.PushFront(nextKey, 0)
+			present = append(present, nextKey)
+			nextKey++
+		case op < 8:
+			k := present[rng.Intn(len(present))]
+			if rng.Intn(8) == 0 {
+				k = nextKey // absent
+			}
+			var wasIn [2]bool
+			for i, id := range ids {
+				wasIn[i] = want.inWindow(k, id)
+			}
+			wv, wok := want.Touch(k)
+			gv, marks, gok := got.TouchMarks(k)
+			if gok != wok {
+				t.Fatalf("step %d: TouchMarks(%d) ok=%v, Touch ok=%v", step, k, gok, wok)
+			}
+			for i, id := range ids {
+				if marks.Has(id) != wasIn[i] {
+					t.Fatalf("step %d: TouchMarks(%d) marker %d = %v, want %v", step, k, i, marks.Has(id), wasIn[i])
+				}
+			}
+			if gok {
+				*gv += step
+				*wv += step
+			}
+		default:
+			i := rng.Intn(len(present))
+			got.Remove(present[i])
+			want.Remove(present[i])
+			present = append(present[:i], present[i+1:]...)
+		}
+		for _, l := range []*List[int]{got, want} {
+			if err := l.CheckInvariants(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+		if !reflect.DeepEqual(got.Keys(), want.Keys()) {
+			t.Fatalf("step %d: order %v, want %v", step, got.Keys(), want.Keys())
+		}
+		if !reflect.DeepEqual(gotDem, wantDem) {
+			t.Fatalf("step %d: demotions %v, want %v", step, gotDem, wantDem)
+		}
+	}
+	for _, k := range present {
+		g, _ := got.Get(k)
+		w, _ := want.Get(k)
+		if *g != *w {
+			t.Errorf("key %d: value %d, want %d", k, *g, *w)
 		}
 	}
 }

@@ -102,7 +102,7 @@ func TestQuickOpsMatchMirror(t *testing.T) {
 			}
 			for w := 0; w < 2; w++ {
 				for _, k := range m.keys {
-					if l.InWindow(k, MarkerID(w)) != m.inWindow(k, w) {
+					if l.inWindow(k, MarkerID(w)) != m.inWindow(k, w) {
 						return false
 					}
 				}

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"hybridmem/internal/memspec"
@@ -33,6 +34,9 @@ type Job struct {
 	Spec memspec.Spec
 	// Opts forwards simulator options (invariant checking).
 	Opts sim.Options
+	// Weight is the policy's relative cost per simulated access, used
+	// only to order dispatch; zero means 1.
+	Weight int
 }
 
 // JobResult captures one job's outcome: the simulation counters, the model
@@ -55,12 +59,54 @@ type JobResult struct {
 // JobResult.Err, and the returned error is the lowest-index failure (nil
 // when all jobs succeed). Slot i always belongs to jobs[i], so downstream
 // assembly is deterministic at any pool width.
+//
+// Jobs start costliest first, so a long job does not start last and
+// leave the other workers idle at the end. A job's cost is its warmup
+// plus ROI record count times its Weight; ties keep submission order.
+// Each distinct trace is materialized on the pool before dispatch, since
+// the costs need the trace lengths.
 func (p *Pool) RunJobs(jobs []Job) ([]JobResult, error) {
-	results, err := Map(p, len(jobs), func(i int) (JobResult, error) {
-		r := runJob(&jobs[i])
-		return r, r.Err
+	var traces []*Traces
+	seen := make(map[*Traces]bool)
+	for i := range jobs {
+		if t := jobs[i].Trace; !seen[t] {
+			seen[t] = true
+			traces = append(traces, t)
+		}
+	}
+	// A failed materialization is reported by each of its jobs.
+	p.Do(len(traces), func(i int) error {
+		_, _, _, err := traces[i].Materialize()
+		return err
 	})
-	return results, err
+	order := make([]int, len(jobs))
+	cost := make([]int64, len(jobs))
+	for i := range jobs {
+		order[i] = i
+		cost[i] = jobs[i].cost()
+	}
+	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] > cost[order[b]] })
+
+	results := make([]JobResult, len(jobs))
+	errs := make([]error, len(jobs))
+	p.Do(len(jobs), func(k int) error {
+		i := order[k]
+		results[i] = runJob(&jobs[i])
+		errs[i] = results[i].Err
+		return nil
+	})
+	return results, firstError(errs)
+}
+
+// cost estimates the job's run time in weighted simulated accesses. It
+// reads an already materialized trace.
+func (j *Job) cost() int64 {
+	warm, roi, _, _ := j.Trace.Materialize()
+	w := int64(j.Weight)
+	if w == 0 {
+		w = 1
+	}
+	return int64(len(warm)+len(roi)) * w
 }
 
 func runJob(j *Job) JobResult {

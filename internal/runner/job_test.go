@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"hybridmem/internal/memspec"
@@ -137,5 +138,80 @@ func TestRunJobsUsesSimOptions(t *testing.T) {
 	}
 	if rs[0].Err != nil {
 		t.Fatal(rs[0].Err)
+	}
+}
+
+// TestRunJobsCostliestFirst checks the dispatch order: jobs start in
+// descending (warmup + ROI records) x weight, a zero weight counts as 1,
+// ties keep submission order, and every result stays in its job's slot.
+// On one worker the start order is exact; on two, a job can start at most
+// one place away from its dispatch rank.
+func TestRunJobsCostliestFirst(t *testing.T) {
+	short := newFakeTraces(8, 100, nil) // 108 records
+	long := newFakeTraces(8, 400, nil)  // 408 records
+	specs := []struct {
+		tr     *Traces
+		weight int
+	}{
+		{short, 0}, // 108
+		{short, 2}, // 216
+		{long, 1},  // 408
+		{short, 1}, // 108, ties with job 0
+		{long, 0},  // 408, ties with job 2
+		{short, 3}, // 324
+	}
+	want := []int{2, 4, 5, 1, 0, 3}
+	for _, workers := range []int{1, 2} {
+		var mu sync.Mutex
+		var started []int
+		jobs := make([]Job, len(specs))
+		for i, sp := range specs {
+			i, tr := i, sp.tr
+			jobs[i] = Job{
+				ID:     fmt.Sprintf("fake/job%d", i),
+				Trace:  tr,
+				Spec:   memspec.Default(),
+				Weight: sp.weight,
+				Build: func() (policy.Policy, error) {
+					mu.Lock()
+					started = append(started, i)
+					mu.Unlock()
+					_, _, pages, err := tr.Materialize()
+					if err != nil {
+						return nil, err
+					}
+					return policy.NewDRAMOnly(pages)
+				},
+			}
+		}
+		rs, err := New(workers).RunJobs(jobs)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, r := range rs {
+			if r.ID != jobs[i].ID {
+				t.Errorf("workers=%d: slot %d holds %q", workers, i, r.ID)
+			}
+			wantAcc := int64(len(jobs[i].Trace.roi))
+			if r.Report == nil || r.Report.Accesses != wantAcc {
+				t.Errorf("workers=%d: %s: report %+v, want %d accesses", workers, r.ID, r.Report, wantAcc)
+			}
+		}
+		if len(started) != len(want) {
+			t.Fatalf("workers=%d: %d jobs started, want %d", workers, len(started), len(want))
+		}
+		rank := make(map[int]int)
+		for r, i := range want {
+			rank[i] = r
+		}
+		for pos, i := range started {
+			d := pos - rank[i]
+			if d < 0 {
+				d = -d
+			}
+			if d > workers-1 {
+				t.Fatalf("workers=%d: start order %v, want %v within %d places", workers, started, want, workers-1)
+			}
+		}
 	}
 }

@@ -197,7 +197,7 @@ func (c *Client) ReadReply() (byte, error) {
 			return 0, fmt.Errorf("server: bad bulk header %q", line)
 		}
 		if n >= 0 {
-			if _, err := io.CopyN(io.Discard, c.br, n+2); err != nil {
+			if _, err := c.br.Discard(int(n + 2)); err != nil {
 				return 0, err
 			}
 		}

@@ -220,6 +220,76 @@ func TestTableScanShardWindows(t *testing.T) {
 	})
 }
 
+// TestScanShardResetConcurrentExact touches pages from several goroutines
+// while a scanner closes counter windows with ScanShard(reset). Every
+// touch must land in exactly one window: the windows reported, plus a
+// final non-resetting read, sum per page to the touches issued.
+func TestScanShardResetConcurrentExact(t *testing.T) {
+	tbl, err := NewTable(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pages = 2048
+	for p := uint64(0); p < pages; p++ {
+		tbl.Insert(DefaultTenant, p, mm.LocNVM)
+	}
+	var issued, seen [2][pages]atomic.Uint64 // [0] reads, [1] writes
+	scan := func(reset bool) {
+		for i := 0; i < tbl.NumShards(); i++ {
+			tbl.ScanShard(i, reset, func(_ TenantID, p uint64, _ mm.Location, _ int, r, w uint64) {
+				seen[0][p].Add(r)
+				seen[1][p].Add(w)
+			})
+		}
+	}
+	var touchers sync.WaitGroup
+	var done atomic.Bool
+	for g := 0; g < 4; g++ {
+		touchers.Add(1)
+		go func(seed int64) {
+			defer touchers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 20000; i++ {
+				// Half the touches hit a small hot set, so scans meet
+				// both zero and busy counters.
+				p := uint64(rng.Intn(pages))
+				if rng.Intn(2) == 0 {
+					p %= 16
+				}
+				op, k := trace.OpRead, 0
+				if rng.Intn(3) == 0 {
+					op, k = trace.OpWrite, 1
+				}
+				if _, ok := tbl.Touch(DefaultTenant, p, op); !ok {
+					t.Errorf("Touch(%d) missed a resident page", p)
+					return
+				}
+				issued[k][p].Add(1)
+			}
+		}(int64(g))
+	}
+	scans := make(chan int)
+	go func() {
+		n := 0
+		for !done.Load() {
+			scan(true)
+			n++
+		}
+		scans <- n
+	}()
+	touchers.Wait()
+	done.Store(true)
+	n := <-scans
+	scan(false)
+	for k, kind := range []string{"reads", "writes"} {
+		for p := 0; p < pages; p++ {
+			if got, want := seen[k][p].Load(), issued[k][p].Load(); got != want {
+				t.Fatalf("page %d: %d %s reported over %d scans, %d issued", p, got, kind, n, want)
+			}
+		}
+	}
+}
+
 func TestClockVictimPrefersUnreferenced(t *testing.T) {
 	tbl, err := NewTable(4)
 	if err != nil {
