@@ -584,15 +584,11 @@ func (t *Table) ScanShard(i int, reset bool, fn func(tenant TenantID, page uint6
 		if !loc.IsMemory() {
 			continue
 		}
-		r, w := e.reads.Load(), e.writes.Load()
-		// A counter read as zero is left alone: not writing it keeps the
-		// entry's cache line shared with the serve path. An access that
-		// lands after the Load stays counted for the next window.
-		if reset && r != 0 {
-			r = e.reads.Swap(0)
-		}
-		if reset && w != 0 {
-			w = e.writes.Swap(0)
+		var r, w uint64
+		if reset {
+			r, w = e.reads.Swap(0), e.writes.Swap(0)
+		} else {
+			r, w = e.reads.Load(), e.writes.Load()
 		}
 		tenant, page := splitKey(e.key)
 		fn(tenant, page, loc, int(e.node.Load()), r, w)
