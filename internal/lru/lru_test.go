@@ -414,7 +414,6 @@ func TestTouchMarksMatchesInWindowThenTouch(t *testing.T) {
 	got, want := New[int](), New[int]()
 	var ids [2]MarkerID
 	for i, c := range []int{3, 8} {
-		i := i
 		var err error
 		if ids[i], err = got.AddMarker(c, func(k uint64, _ *int) { gotDem = append(gotDem, demotion{k, i}) }); err != nil {
 			t.Fatal(err)

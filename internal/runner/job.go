@@ -74,8 +74,9 @@ func (p *Pool) RunJobs(jobs []Job) ([]JobResult, error) {
 			traces = append(traces, t)
 		}
 	}
-	// A failed materialization is reported by each of its jobs.
-	p.Do(len(traces), func(i int) error {
+	// A failed materialization is reported by each of its jobs, so this
+	// pass drops the error.
+	_ = p.Do(len(traces), func(i int) error {
 		_, _, _, err := traces[i].Materialize()
 		return err
 	})
@@ -87,9 +88,11 @@ func (p *Pool) RunJobs(jobs []Job) ([]JobResult, error) {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] > cost[order[b]] })
 
+	// Errors are collected by slot, not by dispatch position, so the
+	// returned error names the lowest-index failing job.
 	results := make([]JobResult, len(jobs))
 	errs := make([]error, len(jobs))
-	p.Do(len(jobs), func(k int) error {
+	_ = p.Do(len(jobs), func(k int) error {
 		i := order[k]
 		results[i] = runJob(&jobs[i])
 		errs[i] = results[i].Err

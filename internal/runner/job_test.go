@@ -144,15 +144,18 @@ func TestRunJobsUsesSimOptions(t *testing.T) {
 // TestRunJobsCostliestFirst checks the dispatch order: jobs start in
 // descending (warmup + ROI records) x weight, a zero weight counts as 1,
 // ties keep submission order, and every result stays in its job's slot.
-// On one worker the start order is exact; on two, a job can start at most
-// one place away from its dispatch rank.
+// On one worker the start order is exact. On w workers a job is handed
+// out only after every costlier job, and each of the other w-1 workers
+// holds at most one of those not yet started, so no job starts more than
+// w-1 places ahead of its rank (it may start arbitrarily later).
 func TestRunJobsCostliestFirst(t *testing.T) {
 	short := newFakeTraces(8, 100, nil) // 108 records
 	long := newFakeTraces(8, 400, nil)  // 408 records
-	specs := []struct {
+	type spec struct {
 		tr     *Traces
 		weight int
-	}{
+	}
+	six := []spec{
 		{short, 0}, // 108
 		{short, 2}, // 216
 		{long, 1},  // 408
@@ -160,13 +163,21 @@ func TestRunJobsCostliestFirst(t *testing.T) {
 		{long, 0},  // 408, ties with job 2
 		{short, 3}, // 324
 	}
-	want := []int{2, 4, 5, 1, 0, 3}
+	// Three copies: more than a dozen jobs, so an unstable sort would
+	// not pass by falling back to insertion sort.
+	specs := append(append(append([]spec{}, six...), six...), six...)
+	want := []int{
+		2, 4, 8, 10, 14, 16, // 408
+		5, 11, 17, // 324
+		1, 7, 13, // 216
+		0, 3, 6, 9, 12, 15, // 108
+	}
 	for _, workers := range []int{1, 2} {
 		var mu sync.Mutex
 		var started []int
 		jobs := make([]Job, len(specs))
 		for i, sp := range specs {
-			i, tr := i, sp.tr
+			tr := sp.tr
 			jobs[i] = Job{
 				ID:     fmt.Sprintf("fake/job%d", i),
 				Trace:  tr,
@@ -205,12 +216,8 @@ func TestRunJobsCostliestFirst(t *testing.T) {
 			rank[i] = r
 		}
 		for pos, i := range started {
-			d := pos - rank[i]
-			if d < 0 {
-				d = -d
-			}
-			if d > workers-1 {
-				t.Fatalf("workers=%d: start order %v, want %v within %d places", workers, started, want, workers-1)
+			if pos < rank[i]-(workers-1) {
+				t.Fatalf("workers=%d: start order %v, want %v, no job more than %d places early", workers, started, want, workers-1)
 			}
 		}
 	}
